@@ -99,7 +99,6 @@ class Request:
     images: tuple[ImageSpec, ...]
     output_tokens: int
     service_id: str = "default"
-    slo_class: str = "default"
 
     def __post_init__(self):
         if self.text_tokens < 0:
@@ -110,10 +109,6 @@ class Request:
     @property
     def total_image_tokens(self) -> int:
         return sum(img.image_tokens for img in self.images)
-
-    @property
-    def total_tiles(self) -> int:
-        return sum(img.tiles for img in self.images)
 
     @property
     def is_multimodal(self) -> bool:
@@ -138,7 +133,6 @@ class SLOSpec:
     ttft_base_image_ms: float
     tbt_base_ms: float
     slo_factor: float
-    percentile: float = 0.99
 
     def __post_init__(self):
         if self.slo_factor <= 0:

@@ -16,6 +16,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -23,12 +24,13 @@ from .core import ModelSpec, Request, SLOSpec, StageKind
 from .profiles import LatencyProfile
 from . import policies as pol
 from .policies import (
+    POOL_ROLES,
     PolicySet,
     SchedulerKind,
     ServerView,
     TokenAwareAutoscaler,
     PoolState,
-    Topology,
+    is_text_family,
 )
 
 
@@ -83,18 +85,6 @@ class WorkItem:
     image_tokens: int = 0
     shard_images: tuple = ()
     shard_id: int = 0
-    deps: set[int] = field(default_factory=set)
-
-    @property
-    def runnable(self) -> bool:
-        return not self.deps
-
-
-def encode_shard(images, n_shards: int) -> list[list[int]]:
-    """Partition a request's images into shards balanced by tile count."""
-    if not images:
-        return []
-    return pol.split_by_tiles([img.tiles for img in images], n_shards)
 
 
 def form_batch(queue: list[WorkItem], now: float, scheduler: SchedulerKind,
@@ -322,6 +312,8 @@ EV_SCALE_TICK = 7
 
 _EPS = 1e-6
 
+DEFAULT_MAX_BATCH = {"preprocess": 8, "encode": 1, "prefill": 8, "decode": 48}
+
 
 class Simulation:
     def __init__(
@@ -346,13 +338,13 @@ class Simulation:
         self.profile = profile
         self.slo = slo
         self.policies = policies
-        self.topology = policies.topology
+        self.roles = POOL_ROLES[policies.topology]
         self.servers = {s.server_id: s for s in servers}
         self.workload = sorted(workload, key=lambda r: (r.arrival_ms, r.id))
         self.horizon_ms = horizon_ms
         self.seed = seed
         self.transfer_medium = transfer_medium
-        self.max_batch = {"preprocess": 8, "encode": 1, "prefill": 8, "decode": 48}
+        self.max_batch = dict(DEFAULT_MAX_BATCH)
         if max_batch:
             self.max_batch.update(max_batch)
         self.autoscaler = autoscaler
@@ -367,7 +359,9 @@ class Simulation:
         self.instances: dict[int, Instance] = {}
         self._next_instance_id = 0
         self._next_item_seq = 0
-        self.pool_waiting: dict[str, list] = {"image": [], "text": [], "prefill": [], "decode": []}
+        # Parked routing calls by role, retried in this order when an
+        # instance starts.
+        self.pool_waiting: dict[str, list] = {"image": [], "text": [], "decode": []}
         self.rr_state: dict[str, int] = {}
         self.requests: dict[int, Request] = {}
         self.shards_pending: dict[int, int] = {}
@@ -397,13 +391,9 @@ class Simulation:
             raise SimulationError(f"initial instances do not fit inventory: {unplaced}")
         for pool_name, tp, server_id in placements:
             self._spawn(pool_name, tp, server_id, starting=False)
-        text_pools = {"text", "monolith"} if self.topology in (Topology.MONOLITH, Topology.DECOUPLED) \
-            else {"prefill"}
-        if not any(i.pool in text_pools for i in self.instances.values()):
-            raise SimulationError("cluster needs at least one text-family instance")
-        if self.topology in (Topology.DECOUPLED_PD, Topology.MONOLITH_PD):
-            if not any(i.pool == "decode" for i in self.instances.values()):
-                raise SimulationError("PD topology needs at least one decode instance")
+        for pool in (self.roles.text, self.roles.decode):
+            if pool is not None and not any(i.pool == pool for i in self.instances.values()):
+                raise SimulationError(f"cluster needs at least one {pool} instance")
         self._allocation_changed()
 
     def _spawn(self, pool: str, tp: int, server_id: int, starting: bool) -> Instance:
@@ -450,20 +440,6 @@ class Simulation:
             (i for i in self.instances.values() if i.pool == pool and i.state is InstanceState.ACTIVE),
             key=lambda i: i.id,
         )
-
-    def _text_pool_name(self) -> str:
-        if self.topology is Topology.MONOLITH:
-            return "monolith"
-        if self.topology in (Topology.DECOUPLED_PD, Topology.MONOLITH_PD):
-            return "prefill"
-        return "text"
-
-    def _image_pool_name(self) -> str:
-        if self.topology is Topology.MONOLITH:
-            return "monolith"
-        if self.topology is Topology.MONOLITH_PD:
-            return "prefill"
-        return "image"
 
     # ------------------------------------------------------------------
     # Run loop
@@ -535,48 +511,49 @@ class Simulation:
         self._win_image_tokens += req.total_image_tokens
         self._win_output_tokens += req.output_tokens
 
-        if req.is_multimodal and self.topology in (Topology.DECOUPLED, Topology.DECOUPLED_PD):
+        if req.is_multimodal and not self.roles.colocated_encoder:
             self._route_to_image_pool(req)
-        elif req.is_multimodal:
-            # Monolithic variants: the whole pipeline on one text-family instance.
-            inst = pol.route_text(req, self._active(self._image_pool_name()),
-                                  self.model.architecture, self.policies.router, self.rr_state)
-            if inst is None:
-                self.pool_waiting["image"].append(("mono", req.id))
-                return
-            self._reserve(inst, req, text=True, image=True)
-            self._enqueue_shard(inst, req, list(range(len(req.images))), 0, count_pending=False)
         else:
             self._route_to_text_pool(req)
 
+    # Each _route_to_* call that finds no active instance parks itself in
+    # pool_waiting and is retried unchanged by _flush_waiting.
     def _route_to_image_pool(self, req: Request) -> None:
-        pool = self._active("image")
+        pool = self._active(self.roles.image_entry)
         assignment = pol.route_image(req, pool, self.policies.router,
                                      self.policies.max_fanout, self.rr_state)
         if assignment is None:
-            self.pool_waiting["image"].append(("img", req.id))
+            self.pool_waiting["image"].append(partial(self._route_to_image_pool, req))
             return
         self.shards_pending[req.id] = len(assignment)
         for shard_id, (inst, image_idx) in enumerate(assignment):
             self._enqueue_shard(inst, req, image_idx, shard_id, count_pending=True)
 
-    def _route_to_text_pool(self, req: Request, transfer_done: bool = False) -> None:
-        pool_name = self._text_pool_name()
-        pool = self._active(pool_name)
+    def _route_to_text_pool(self, req: Request) -> None:
+        """Reserve a text instance: on arrival, or once a request's images are encoded."""
+        pool = self._active(self.roles.text)
         inst = pol.route_text(req, pool, self.model.architecture,
                               self.policies.router, self.rr_state)
         if inst is None:
-            self.pool_waiting["text" if pool_name != "prefill" else "prefill"].append(
-                ("text", req.id, transfer_done))
+            self.pool_waiting["text"].append(partial(self._route_to_text_pool, req))
             return
         self._reserve(inst, req, text=True, image=True)
-        if req.is_multimodal and not transfer_done and self.topology in (
-            Topology.DECOUPLED, Topology.DECOUPLED_PD,
-        ):
+        if not req.is_multimodal:
+            self._enqueue_prefill(inst, req)
+        elif self.roles.colocated_encoder:
+            # The whole pipeline runs on this one instance.
+            self._enqueue_shard(inst, req, list(range(len(req.images))), 0, count_pending=False)
+        else:
             delay = transfer_latency_ms(req, self.transfer_medium, self.rng)
             self._push(self.now + delay, EV_TRANSFER_DONE, (req.id, inst.id))
-        else:
-            self._enqueue_prefill(inst, req)
+
+    def _route_to_decode_pool(self, req: Request, steps: int) -> None:
+        target = pol.route_decode(self._active(self.roles.decode), self.rr_state)
+        if target is None:
+            self.pool_waiting["decode"].append(partial(self._route_to_decode_pool, req, steps))
+            return
+        delay = sample_transfer_ms(self.transfer_medium, self.rng)
+        self._push(self.now + delay, EV_DECODE_ARRIVAL, (req.id, target.id, steps))
 
     def _on_transfer_done(self, data) -> None:
         rid, inst_id = data
@@ -762,13 +739,8 @@ class Simulation:
         if decode_steps <= 0:
             self._complete(req)
             return
-        if self.topology in (Topology.DECOUPLED_PD, Topology.MONOLITH_PD):
-            target = pol.route_decode(self._active("decode"), self.rr_state)
-            if target is None:
-                self.pool_waiting["decode"].append(("decode", rid, decode_steps))
-                return
-            delay = sample_transfer_ms(self.transfer_medium, self.rng)
-            self._push(self.now + delay, EV_DECODE_ARRIVAL, (rid, target.id, decode_steps))
+        if self.roles.decode is not None:
+            self._route_to_decode_pool(req, decode_steps)
         else:
             self._decode_admit(inst, rid, decode_steps)
 
@@ -858,34 +830,10 @@ class Simulation:
             self._flush_waiting()
 
     def _flush_waiting(self) -> None:
-        for pool_name in ("image", "text", "prefill", "decode"):
-            waiting = self.pool_waiting[pool_name]
-            if not waiting:
-                continue
-            self.pool_waiting[pool_name] = []
-            for entry in waiting:
-                tag = entry[0]
-                if tag == "img":
-                    self._route_to_image_pool(self.requests[entry[1]])
-                elif tag == "mono":
-                    req = self.requests[entry[1]]
-                    pool = self._active(self._image_pool_name())
-                    inst = pol.route_text(req, pool, self.model.architecture,
-                                          self.policies.router, self.rr_state)
-                    if inst is None:
-                        self.pool_waiting["image"].append(entry)
-                        continue
-                    self._reserve(inst, req, text=True, image=True)
-                    self._enqueue_shard(inst, req, list(range(len(req.images))), count_pending=False)
-                elif tag == "text":
-                    self._route_to_text_pool(self.requests[entry[1]], transfer_done=entry[2])
-                elif tag == "decode":
-                    target = pol.route_decode(self._active("decode"), self.rr_state)
-                    if target is None:
-                        self.pool_waiting["decode"].append(entry)
-                        continue
-                    delay = sample_transfer_ms(self.transfer_medium, self.rng)
-                    self._push(self.now + delay, EV_DECODE_ARRIVAL, (entry[1], target.id, entry[2]))
+        for role, waiting in self.pool_waiting.items():
+            self.pool_waiting[role] = []
+            for retry in waiting:
+                retry()
 
     def _pools_snapshot(self) -> dict[str, PoolState]:
         pools: dict[str, PoolState] = {}
@@ -931,7 +879,7 @@ class Simulation:
                 additions.extend([(pool_name, tp)] * delta)
             elif delta < 0:
                 active = [i for i in live if i.state is InstanceState.ACTIVE]
-                floor = 1 if pool_name in ("text", "prefill", "decode", "monolith") else 0
+                floor = 1 if is_text_family(pool_name) else 0
                 starting = [i for i in live if i.state is InstanceState.STARTING]
                 to_remove = -delta
                 # Cancel instances that never started first, newest first.
@@ -964,7 +912,7 @@ class Simulation:
                 if i.server_id == s.server_id and i.state is not InstanceState.STOPPED
             )
             hosts_text = any(
-                i.pool in ("text", "prefill", "decode", "monolith")
+                is_text_family(i.pool)
                 for i in self.instances.values()
                 if i.server_id == s.server_id and i.state is not InstanceState.STOPPED
             )
@@ -998,7 +946,3 @@ class Simulation:
                 if i.server_id == s.server_id and i.state is not InstanceState.STOPPED
             )
             assert used <= s.gpus, f"server {s.server_id} oversubscribed: {used}/{s.gpus}"
-
-
-def run_simulation(**kwargs) -> MetricsLog:
-    return Simulation(**kwargs).run()

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .core import ModelSpec, Request, SLOSpec, get_model_spec, load_model_specs
 from .engine import (
+    DEFAULT_MAX_BATCH,
     InstancePlan,
     MetricsLog,
     ServerSpec,
@@ -30,6 +31,7 @@ from .metrics import (
     summarize_latency,
 )
 from .policies import (
+    POOL_ROLES,
     AutoscalerKind,
     PlacementKind,
     PolicySet,
@@ -48,14 +50,6 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config field '{field}': {message}")
-
-
-_TOPOLOGY_POOLS = {
-    Topology.MONOLITH: {"monolith"},
-    Topology.DECOUPLED: {"text", "image"},
-    Topology.DECOUPLED_PD: {"prefill", "decode", "image"},
-    Topology.MONOLITH_PD: {"prefill", "decode"},
-}
 
 
 @dataclass
@@ -110,7 +104,7 @@ class ExperimentConfig:
     def policies(self) -> PolicySet:
         p = self._get("policies", {})
         try:
-            return PolicySet(
+            policies = PolicySet(
                 router=RouterKind(p.get("router", "least_pending")),
                 scheduler=SchedulerKind(p.get("scheduler", "slo_priority")),
                 autoscaler=AutoscalerKind(p.get("autoscaler", "none")),
@@ -125,6 +119,9 @@ class ExperimentConfig:
             )
         except ValueError as e:
             raise ConfigError("policies", str(e))
+        if policies.max_fanout < 1:
+            raise ConfigError("policies.max_fanout", "must be >= 1")
+        return policies
 
     def model(self) -> ModelSpec:
         m = self._get("model", required=True)
@@ -153,6 +150,10 @@ class ExperimentConfig:
 
     def slo(self, profile: LatencyProfile) -> SLOSpec:
         s = self._get("slo", {})
+        # Every tail (TTFT/TBT P99, capacity probes, windowed P99) is the 99th
+        # percentile; the field is accepted only with that value.
+        if s.get("percentile", 0.99) != 0.99:
+            raise ConfigError("slo.percentile", "only 0.99 is supported")
         factor = float(s.get("slo_factor", 5.0))
         ref_text = int(s.get("ref_text_tokens", 2048))
         return SLOSpec(
@@ -164,7 +165,6 @@ class ExperimentConfig:
             ),
             tbt_base_ms=float(s.get("tbt_base_ms") or profile.tbt_base()),
             slo_factor=factor,
-            percentile=float(s.get("percentile", 0.99)),
         )
 
     def servers(self) -> list[ServerSpec]:
@@ -180,8 +180,14 @@ class ExperimentConfig:
         return [ServerSpec(i, gpus, cores) for i in range(n)]
 
     def max_batch(self) -> dict:
-        mb = dict(self._get("max_batch", {}))
-        return {str(k): int(v) for k, v in mb.items()}
+        caps = dict(self._get("max_batch", {}))
+        for stage, cap in caps.items():
+            if stage not in DEFAULT_MAX_BATCH:
+                raise ConfigError(f"max_batch.{stage}",
+                                  f"unknown stage (expected one of {sorted(DEFAULT_MAX_BATCH)})")
+            if not isinstance(cap, int) or cap < 1:
+                raise ConfigError(f"max_batch.{stage}", "must be an integer >= 1")
+        return caps
 
     def workload(self, model: ModelSpec, seed: int, rate_multiplier: float,
                  horizon_ms: float) -> list[Request]:
@@ -245,7 +251,7 @@ class ExperimentConfig:
     def instance_plan(self, model: ModelSpec, profile: LatencyProfile, slo: SLOSpec,
                       seed: int) -> list[InstancePlan]:
         inst = self._get("instances", required=True)
-        topo_pools = _TOPOLOGY_POOLS[self.topology]
+        topo_pools = POOL_ROLES[self.topology].pools
         if inst == "auto":
             if self.topology is not Topology.DECOUPLED:
                 raise ConfigError("instances", "auto sizing supports the decoupled topology only")
@@ -303,6 +309,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     cfg.seeds
     cfg.horizon_ms
     cfg.transfer_medium
+    cfg.max_batch()
     w = cfg._get("workload", required=True)
     if "trace" in w:
         path = cfg.base_dir / w["trace"]
@@ -467,17 +474,14 @@ def _capacity_probe_worker(raw: dict, base_dir: str, seed: int, rate: float,
     sim = build_simulation(cfg, seed, rate_multiplier=rate, horizon_ms=horizon_ms)
     log = sim.run()
     latency = summarize_latency(log, cfg.warmup_fraction)
-    model = cfg.model()
-    profile = cfg.profile(model)
-    slo = cfg.slo(profile)
     checks = {}
     for group, multimodal in (("text-only", False), ("image-text", True)):
         stats = latency.ttft[group]
         if stats.count:
-            checks[f"ttft_{group}"] = (stats.p99, slo.ttft_slo_ms(multimodal))
+            checks[f"ttft_{group}"] = (stats.p99, sim.slo.ttft_slo_ms(multimodal))
     tbt = latency.tbt["overall"]
     if tbt.count:
-        checks["tbt"] = (tbt.p99, slo.tbt_slo_ms)
+        checks["tbt"] = (tbt.p99, sim.slo.tbt_slo_ms)
     ok = all(v <= limit for v, limit in checks.values()) and latency.ttft["overall"].count > 0
     return {"seed": seed, "ok": ok, "checks": checks}
 

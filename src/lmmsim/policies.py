@@ -46,6 +46,38 @@ class Topology(str, Enum):
 
 
 @dataclass(frozen=True)
+class PoolRoles:
+    """Which pool plays which part of the pipeline under one topology."""
+
+    text: str  # runs prefill, and decode too when there is no decode pool
+    image_entry: str  # where image-bearing requests enter
+    decode: str | None = None
+
+    @property
+    def pools(self) -> set[str]:
+        """The pools a config of this topology must declare."""
+        return {p for p in (self.text, self.image_entry, self.decode) if p is not None}
+
+    @property
+    def colocated_encoder(self) -> bool:
+        return self.image_entry != "image"
+
+
+POOL_ROLES = {
+    Topology.MONOLITH: PoolRoles(text="monolith", image_entry="monolith"),
+    Topology.DECOUPLED: PoolRoles(text="text", image_entry="image"),
+    Topology.DECOUPLED_PD: PoolRoles(text="prefill", image_entry="image", decode="decode"),
+    Topology.MONOLITH_PD: PoolRoles(text="prefill", image_entry="prefill", decode="decode"),
+}
+
+
+def is_text_family(pool: str) -> bool:
+    """Every pool but the image pool runs LLM work: it keeps at least one
+    instance when scaling down and is placed first when colocating."""
+    return pool != "image"
+
+
+@dataclass(frozen=True)
 class PolicySet:
     router: RouterKind = RouterKind.LEAST_PENDING
     scheduler: SchedulerKind = SchedulerKind.SLO_PRIORITY
@@ -66,7 +98,6 @@ class PolicySet:
 class ScalingDecision:
     targets: dict[str, int]  # instance kind name -> replica count
     tp: dict[str, int]
-    max_batch: dict[str, int] = field(default_factory=dict)
     flags: list[str] = field(default_factory=list)
 
 
@@ -151,19 +182,17 @@ def route_decode(instances, rr_state: dict):
 # Instance-level scheduling
 # ----------------------------------------------------------------------
 def schedule_order(items, now: float, scheduler: SchedulerKind, aging_slo_fraction: float):
-    """Indices of runnable items in execution order.
+    """Indices of the items in execution order.
 
-    SLO-priority runs the smallest runnable item first, except that items
-    older than a fraction of their TTFT SLO regain FIFO priority, which
-    bounds starvation.
+    SLO-priority runs the smallest item first, except that items older than
+    a fraction of their TTFT SLO regain FIFO priority, which bounds
+    starvation.
     """
-    runnable = [i for i, it in enumerate(items) if it.runnable]
     if scheduler is SchedulerKind.FIFO:
-        return sorted(runnable, key=lambda i: (items[i].enqueue_ms, items[i].seq))
+        return sorted(range(len(items)), key=lambda i: (items[i].enqueue_ms, items[i].seq))
     aged = []
     fresh = []
-    for i in runnable:
-        it = items[i]
+    for i, it in enumerate(items):
         if now - it.enqueue_ms > aging_slo_fraction * it.ttft_slo_ms:
             aged.append(i)
         else:
@@ -171,12 +200,6 @@ def schedule_order(items, now: float, scheduler: SchedulerKind, aging_slo_fracti
     aged.sort(key=lambda i: (items[i].enqueue_ms, items[i].seq))
     fresh.sort(key=lambda i: (items[i].size_tokens, items[i].enqueue_ms, items[i].seq))
     return aged + fresh
-
-
-def schedule_next(items, now: float, scheduler: SchedulerKind, aging_slo_fraction: float = 0.5):
-    """Index of the next item to run, or None if nothing is runnable."""
-    order = schedule_order(items, now, scheduler, aging_slo_fraction)
-    return order[0] if order else None
 
 
 # ----------------------------------------------------------------------
@@ -282,12 +305,11 @@ class TokenAwareAutoscaler:
             tp[kind] = state.tp
 
         if window.completed > 0 and window.slo_attainment < self.policies.attainment_threshold:
-            stage_for = {"encode": "image", "prefill": "text"}
+            roles = POOL_ROLES[self.topology]
+            stage_for = {"encode": roles.image_entry, "prefill": roles.text}
             delays = {s: window.queue_delay_ms.get(s, 0.0) for s in stage_for}
             worst = max(delays, key=lambda s: (delays[s], s))
             pool = stage_for[worst]
-            if pool not in targets:  # monolith and PD fall back to their main pool
-                pool = next(iter(targets))
             targets[pool] += 1
             flags.append(f"attainment {window.slo_attainment:.3f} -> +1 {pool}")
 
@@ -361,17 +383,6 @@ def select_sharding(kind: str, model: ModelSpec, profile: LatencyProfile, slo: S
     return best_tp, True
 
 
-def select_decode_max_batch(profile: LatencyProfile, slo: SLOSpec, tp: int, cap: int = 64) -> int:
-    """Largest decode batch whose per-token latency still meets the TBT SLO."""
-    best = 1
-    for batch in range(1, cap + 1):
-        if profile.tbt_latency(batch, tp) <= slo.tbt_slo_ms:
-            best = batch
-        else:
-            break
-    return best
-
-
 # ----------------------------------------------------------------------
 # Placement
 # ----------------------------------------------------------------------
@@ -412,8 +423,8 @@ def place(additions: list[tuple[str, int]], servers: list[ServerView],
                 unplaced.append((kind, tp))
         return placements, unplaced, not unplaced
 
-    text_like = [(k, tp) for k, tp in additions if k in ("text", "prefill", "decode", "monolith")]
-    image_like = [(k, tp) for k, tp in additions if k == "image"]
+    text_like = [(k, tp) for k, tp in additions if is_text_family(k)]
+    image_like = [(k, tp) for k, tp in additions if not is_text_family(k)]
 
     for kind, tp in sorted(text_like, key=lambda a: -a[1]):
         pool = [s for s in servers if s.gpus_free >= tp]

@@ -217,28 +217,6 @@ class LatencyProfile:
         service_ms, job_tokens = self.stage_job(stage, tp)
         return max_capacity_tokens_per_s(service_ms, job_tokens, slo_share_ms)
 
-    def monolith_max_capacity(self, tp: int, slo: SLOSpec, tail_factor: float = 1.0) -> float:
-        """Monolith token capacity limited by the tighter of both SLO classes.
-
-        Text and image requests share one queue, so the admissible queueing
-        wait is the smaller slack; `tail_factor` shrinks it further to target
-        tail (rather than mean) latency.
-        """
-        service_ms, job_tokens = self.monolith_job(tp)
-        table = self.prefill_ms_per_token or self.prefill_self_ms_per_token
-        text_scale = _interp_tp(table, tp) / _interp_tp(table, self.model.default_tp_text)
-        # The SLO base is the isolated text service at the default TP.
-        text_service = slo.ttft_base_text_ms * text_scale
-        slack = min(
-            slo.ttft_slo_ms(True) - service_ms,
-            slo.ttft_slo_ms(False) - text_service,
-        ) / max(tail_factor, 1e-9)
-        if slack <= 0:
-            return 0.0
-        # Invert Wq = rho * S / (2 (1 - rho)) <= slack.
-        rho = 2.0 * slack / (service_ms + 2.0 * slack)
-        return rho * job_tokens / service_ms * 1000.0
-
     def decode_max_capacity(self, tp: int, slo: SLOSpec, max_batch: int) -> float:
         """Decode token throughput at the largest batch meeting the TBT SLO."""
         best = 0.0

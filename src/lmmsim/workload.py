@@ -25,15 +25,6 @@ TRACE_COLUMNS = ["arrival_ms", "service_id", "text_tokens", "num_images", "image
 
 
 @dataclass
-class TraceRecord:
-    arrival_ms: float
-    service_id: str
-    text_tokens: int
-    image_dims: list[tuple[int, int]]
-    output_tokens: int
-
-
-@dataclass
 class TraceLoadResult:
     requests: list[Request]
     malformed_rows: int
@@ -60,7 +51,7 @@ def load_trace(path: str | Path, model: ModelSpec, max_malformed_frac: float = 0
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
-    records: list[TraceRecord] = []
+    requests: list[Request] = []
     malformed = 0
     total = 0
     with path.open(newline="") as fh:
@@ -74,37 +65,28 @@ def load_trace(path: str | Path, model: ModelSpec, max_malformed_frac: float = 0
             total += 1
             try:
                 dims = _parse_dims(row["image_dims"] or "")
-                num_images = int(row["num_images"])
-                if num_images != len(dims):
+                if int(row["num_images"]) != len(dims):
                     raise ValueError("num_images does not match image_dims")
-                rec = TraceRecord(
-                    arrival_ms=float(row["arrival_ms"]),
-                    service_id=row["service_id"] or "default",
+                arrival_ms = float(row["arrival_ms"])
+                if arrival_ms < 0:
+                    raise ValueError("negative arrival time")
+                # Request and ImageSpec reject the remaining bad values with
+                # SpecError, a ValueError.
+                requests.append(Request(
+                    id=0,
+                    arrival_ms=arrival_ms,
                     text_tokens=int(row["text_tokens"]),
-                    image_dims=dims,
+                    images=tuple(ImageSpec.from_dims(w, h, model) for w, h in dims),
                     output_tokens=int(row["output_tokens"]),
-                )
-                if rec.arrival_ms < 0 or rec.text_tokens < 0 or rec.output_tokens < 1:
-                    raise ValueError("negative counts")
-                records.append(rec)
+                    service_id=row["service_id"] or "default",
+                ))
             except (ValueError, KeyError):
                 malformed += 1
     if total > 0 and malformed / total > max_malformed_frac:
         raise TraceError(f"{malformed}/{total} malformed rows in {path} exceeds {max_malformed_frac:.0%}")
-    records.sort(key=lambda r: r.arrival_ms)
-    requests = []
-    for i, rec in enumerate(records):
-        images = tuple(ImageSpec.from_dims(w, h, model) for w, h in rec.image_dims)
-        requests.append(
-            Request(
-                id=i,
-                arrival_ms=rec.arrival_ms,
-                text_tokens=rec.text_tokens,
-                images=images,
-                output_tokens=rec.output_tokens,
-                service_id=rec.service_id,
-            )
-        )
+    requests.sort(key=lambda r: r.arrival_ms)
+    for i, req in enumerate(requests):
+        req.id = i
     return TraceLoadResult(requests, malformed, total)
 
 

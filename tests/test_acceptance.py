@@ -13,7 +13,7 @@ import pytest
 
 from conftest import MODELS, PROFILES, make_request, make_slo
 from lmmsim.core import ImageSpec, Request, SLOSpec, StageKind, get_model_spec
-from lmmsim.engine import InstancePlan, ServerSpec, Simulation, TransferMedium, encode_shard
+from lmmsim.engine import InstancePlan, ServerSpec, Simulation, TransferMedium
 from lmmsim.experiment import config_from_dict, build_simulation, run_capacity
 from lmmsim.metrics import overall_attainment, cost_summary, quantile, summarize_latency
 from lmmsim.policies import (
@@ -26,7 +26,8 @@ from lmmsim.policies import (
     Topology,
     route_image,
     route_text,
-    schedule_next,
+    schedule_order,
+    split_by_tiles,
 )
 from lmmsim.profiles import calibrate, load_calibration_targets, predict_breakdown
 from lmmsim.workload import BurstEpisode, GeneratorConfig, generate, write_trace
@@ -502,14 +503,13 @@ def test_criterion_9_property_suites():
 
     # Scheduler starvation bound under continuous small arrivals.
     slo_ms, service = 1000.0, 50.0
-    big = SimpleNamespace(seq=0, size_tokens=100_000, enqueue_ms=0.0,
-                          ttft_slo_ms=slo_ms, runnable=True)
+    big = SimpleNamespace(seq=0, size_tokens=100_000, enqueue_ms=0.0, ttft_slo_ms=slo_ms)
     queue, now, seq, served_at = [big], 0.0, 1, None
     while now < 2 * slo_ms:
         queue.append(SimpleNamespace(seq=seq, size_tokens=10, enqueue_ms=now,
-                                     ttft_slo_ms=slo_ms, runnable=True))
+                                     ttft_slo_ms=slo_ms))
         seq += 1
-        idx = schedule_next(queue, now, SchedulerKind.SLO_PRIORITY, 0.5)
+        idx = schedule_order(queue, now, SchedulerKind.SLO_PRIORITY, 0.5)[0]
         if queue.pop(idx) is big:
             served_at = now
             break
@@ -542,7 +542,8 @@ def test_criterion_9_property_suites():
         rec = sim.run().records[0]
         spans[n] = rec.encode_end_ms - rec.encode_start_ms
     checks["shard_makespan"] = abs(spans[4] - spans[1] / 4) < 1e-6
-    checks["shard_partition"] = [len(s) for s in encode_shard(req16.images, 4)] == [4, 4, 4, 4]
+    tiles16 = [img.tiles for img in req16.images]
+    checks["shard_partition"] = [len(s) for s in split_by_tiles(tiles16, 4)] == [4, 4, 4, 4]
 
     elapsed = time.time() - t0
     ok = all(checks.values()) and elapsed < 60

@@ -67,6 +67,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "topology" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"policies": {"max_fanout": 0}}, "policies.max_fanout"),
+        ({"max_batch": {"prefil": 4}}, "max_batch.prefil"),
+        ({"max_batch": {"decode": 0}}, "max_batch.decode"),
+        ({"slo": {"slo_factor": 5.0, "percentile": 0.95}}, "slo.percentile"),
+    ])
+    def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_pool_mismatch_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"instances": {"monolith": {"count": 2, "tp": 4}}})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

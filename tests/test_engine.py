@@ -12,7 +12,6 @@ from lmmsim.engine import (
     SimulationError,
     TransferMedium,
     WorkItem,
-    encode_shard,
     form_batch,
     sample_transfer_ms,
     transfer_latency_ms,
@@ -24,6 +23,7 @@ from lmmsim.policies import (
     ScalingDecision,
     SchedulerKind,
     Topology,
+    split_by_tiles,
 )
 
 LLAMA_PROFILE = PROFILES["llama3.2-11b"]
@@ -171,22 +171,26 @@ class TestCausality:
         assert rec.prefill_start_ms >= rec.encode_end_ms
 
 
+def _tiles(images):
+    return [img.tiles for img in images]
+
+
 class TestEncodeShard:
     def test_even_split(self):
         images = make_request(0, 0, n_images=4).images
-        shards = encode_shard(images, 4)
+        shards = split_by_tiles(_tiles(images), 4)
         assert sorted(len(s) for s in shards) == [1, 1, 1, 1]
 
     def test_single_image_single_shard(self):
         images = make_request(0, 0, n_images=1).images
-        assert encode_shard(images, 4) == [[0]]
+        assert split_by_tiles(_tiles(images), 4) == [[0]]
 
     def test_balanced_by_tiles(self):
         spec = MODELS["internvl-26b"]
         from lmmsim.core import ImageSpec
         images = [ImageSpec.from_dims(448, 448, spec), ImageSpec.from_dims(896, 896, spec),
                   ImageSpec.from_dims(448, 448, spec), ImageSpec.from_dims(448, 448, spec)]
-        shards = encode_shard(images, 2)
+        shards = split_by_tiles(_tiles(images), 2)
         loads = [sum(images[i].tiles for i in s) for s in shards]
         assert max(loads) - min(loads) <= 2
 
@@ -224,10 +228,9 @@ class TestTransferModel:
 
 
 class TestFormBatch:
-    def _item(self, seq, stage, size, enqueue=0.0, deps=()):
+    def _item(self, seq, stage, size, enqueue=0.0):
         return WorkItem(seq=seq, request_id=seq, stage=stage, size_tokens=size,
-                        tiles=1, enqueue_ms=enqueue, ttft_slo_ms=1000.0,
-                        deps=set(deps))
+                        tiles=1, enqueue_ms=enqueue, ttft_slo_ms=1000.0)
 
     def test_queue_of_five_max_two(self):
         queue = [self._item(i, StageKind.ENCODE, 10, enqueue=i) for i in range(5)]
@@ -240,12 +243,6 @@ class TestFormBatch:
                  self._item(2, StageKind.ENCODE, 10)]
         picked = form_batch(queue, 10.0, SchedulerKind.FIFO, 0.5, {"encode": 4, "prefill": 4})
         assert all(queue[i].stage is StageKind.ENCODE for i in picked)
-
-    def test_unmet_deps_skipped_not_reordered(self):
-        queue = [self._item(0, StageKind.ENCODE, 10, deps={99}),
-                 self._item(1, StageKind.ENCODE, 10)]
-        picked = form_batch(queue, 10.0, SchedulerKind.FIFO, 0.5, {"encode": 2})
-        assert picked == [1]
 
     def test_single_item_batches_for_image_default(self):
         queue = [self._item(i, StageKind.ENCODE, 10, enqueue=i) for i in range(3)]

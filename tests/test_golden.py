@@ -1,0 +1,93 @@
+"""Golden outputs: the SHA-256 of every ``requests_seed*.csv`` for fixed configs.
+
+These pins make "byte-identical output" checkable across commits. A change
+that alters any of these outputs on purpose updates the pins and says why
+in CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from lmmsim.experiment import config_from_dict, run_experiment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _load(name: str) -> dict:
+    return json.loads((CONFIGS / name).read_text())
+
+
+def _demo(**overrides) -> dict:
+    return {**_load("demo.json"), **overrides}
+
+
+def _policies(**overrides) -> dict:
+    return {**_load("demo.json")["policies"], **overrides}
+
+
+VARIANTS = {
+    "demo": _load("demo.json"),
+    "demo_monolith": _load("demo_monolith.json"),
+    "decoupled_pd": _demo(
+        topology="decoupled_pd",
+        instances={"prefill": {"count": 4, "tp": 4}, "decode": {"count": 3, "tp": 4},
+                   "image": {"count": 4, "tp": 1}},
+    ),
+    "monolith_pd": _demo(
+        topology="monolith_pd",
+        instances={"prefill": {"count": 4, "tp": 4}, "decode": {"count": 4, "tp": 4}},
+    ),
+    # No image instance until the autoscaler's first one starts at 40 s, so
+    # image-bearing requests park and are re-dispatched when it does.
+    "cold_image": _demo(
+        instances={"text": {"count": 7, "tp": 4}, "image": {"count": 0, "tp": 1}},
+        policies=_policies(autoscaler="token_aware"),
+        scale_interval_ms=30_000, start_delay_ms=10_000,
+    ),
+    "rr_fifo_tcp": _demo(
+        policies=_policies(router="round_robin", scheduler="fifo", autoscaler="token_aware"),
+        transfer={"medium": "tcp"},
+        scale_interval_ms=60_000, start_delay_ms=20_000,
+    ),
+}
+
+PINS = {
+    "cold_image": {
+        "requests_seed1.csv": "6f4baa2b8748aec60eee3fe7f6cf92af1cbd0eae78ee200919139bd8520577e8",
+        "requests_seed2.csv": "1b389e4fa41f7bb6eeada77db8d0b460b933686496769bd2274dd0c936b7713e",
+    },
+    "decoupled_pd": {
+        "requests_seed1.csv": "5862f401d05e8542923d5b79a33dcc3019c561d32a12af534877f68ac0e2705b",
+        "requests_seed2.csv": "3154d2c3f2ac4879561832492d4c12e786c7f217c62e8fcb76b43a5a4ef5bedf",
+    },
+    "demo": {
+        "requests_seed1.csv": "68d3886c888a9b987e9c8efd4399dd2e85f8209244d20e2e86233f7d1fb88674",
+        "requests_seed2.csv": "fc7fee0213f36265612dae414e61728fa6dd122ec6a75e6cb0692a60d28a69d6",
+    },
+    "demo_monolith": {
+        "requests_seed1.csv": "7244f7553f2d542b070fb8a7d9980c258f0f387a8f8e208ab051b32e724d584b",
+        "requests_seed2.csv": "303d334f649472d4579fbd88123738aed5bec1c877fa2795f6184c07829bd1da",
+    },
+    "monolith_pd": {
+        "requests_seed1.csv": "0fa91ba381e1d0180130f54cd4bf61d9c6083b5514ab2db7214a8b40d9c5c3cc",
+        "requests_seed2.csv": "08968284134db3af9ce7ddaa9761fcfe2638af1a1ce4c9cb68546a43ef78e764",
+    },
+    "rr_fifo_tcp": {
+        "requests_seed1.csv": "295732cd133d7476cbdd72342b122bf4e901e7dd9c8f853afe16cca616c2a225",
+        "requests_seed2.csv": "67b043d0fc3220191d3245bcbb0e99493e8e9508349919ea2717f2f1da548716",
+    },
+}
+
+
+def request_digests(raw: dict, out_dir: Path) -> dict[str, str]:
+    run_experiment(config_from_dict(raw, CONFIGS), out_dir=out_dir, parallel=False)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.glob("requests_seed*.csv"))}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_requests_csv_unchanged(name, tmp_path):
+    assert request_digests(VARIANTS[name], tmp_path) == PINS[name]

@@ -10,6 +10,7 @@ from lmmsim.policies import (
     LoadWindow,
     PlacementKind,
     PolicySet,
+    POOL_ROLES,
     PoolState,
     RouterKind,
     SchedulerKind,
@@ -20,7 +21,6 @@ from lmmsim.policies import (
     place,
     route_image,
     route_text,
-    schedule_next,
     schedule_order,
     select_sharding,
     split_by_tiles,
@@ -121,30 +121,28 @@ class TestRouteText:
         assert inst.id == min(keyed)[1]
 
 
-def item(seq, size, enqueue, slo=1000.0, runnable=True):
-    return SimpleNamespace(seq=seq, size_tokens=size, enqueue_ms=enqueue,
-                           ttft_slo_ms=slo, runnable=runnable)
+def item(seq, size, enqueue, slo=1000.0):
+    return SimpleNamespace(seq=seq, size_tokens=size, enqueue_ms=enqueue, ttft_slo_ms=slo)
+
+
+def schedule_first(items, now, scheduler):
+    return schedule_order(items, now, scheduler, 0.5)[0]
 
 
 class TestScheduler:
     def test_fifo_oldest_first(self):
         items = [item(0, 10, 2.0), item(1, 5, 1.0)]
-        assert schedule_next(items, 3.0, SchedulerKind.FIFO) == 1
+        assert schedule_first(items, 3.0, SchedulerKind.FIFO) == 1
 
     def test_slo_priority_smallest_first(self):
         items = [item(0, 8000, 0.0), item(1, 100, 1.0)]
-        assert schedule_next(items, 2.0, SchedulerKind.SLO_PRIORITY) == 1
+        assert schedule_first(items, 2.0, SchedulerKind.SLO_PRIORITY) == 1
 
     def test_aged_item_regains_priority(self):
         big = item(0, 8000, 0.0, slo=1000.0)
         small = item(1, 10, 600.0, slo=1000.0)
         # At t=600 the big item has waited 600 > 0.5 * 1000, so it runs first.
-        assert schedule_next([big, small], 601.0, SchedulerKind.SLO_PRIORITY) == 0
-
-    def test_unrunnable_skipped(self):
-        items = [item(0, 10, 0.0, runnable=False), item(1, 20, 1.0)]
-        assert schedule_next(items, 2.0, SchedulerKind.FIFO) == 1
-        assert schedule_next([items[0]], 2.0, SchedulerKind.FIFO) is None
+        assert schedule_first([big, small], 601.0, SchedulerKind.SLO_PRIORITY) == 0
 
     def test_starvation_bound(self):
         # A big item plus a stream of small newcomers: the big one is scheduled
@@ -160,7 +158,7 @@ class TestScheduler:
         while now < 2 * slo:
             queue.append(item(seq, 10, now, slo=slo))
             seq += 1
-            idx = schedule_next(queue, now, SchedulerKind.SLO_PRIORITY)
+            idx = schedule_first(queue, now, SchedulerKind.SLO_PRIORITY)
             chosen = queue.pop(idx)
             if chosen is big:
                 served_big_at = now
@@ -236,6 +234,25 @@ class TestAutoscaler:
         decision = scaler.decide(window, {"image": PoolState(2, 1), "text": PoolState(1, 4)})
         assert decision.targets["image"] == 2 + 1  # ceil(1.5)=2 plus the trigger
         assert any("attainment" in f for f in decision.flags)
+
+    @pytest.mark.parametrize("topology, stage, pool", [
+        (Topology.DECOUPLED_PD, "encode", "image"),
+        (Topology.DECOUPLED_PD, "prefill", "prefill"),
+        (Topology.MONOLITH_PD, "encode", "prefill"),
+        (Topology.MONOLITH_PD, "prefill", "prefill"),
+    ])
+    @pytest.mark.parametrize("decode_first", [False, True])
+    def test_pd_shortfall_adds_replica_to_slow_stage(self, topology, stage, pool, decode_first):
+        others = sorted(POOL_ROLES[topology].pools - {"decode"})
+        names = ["decode", *others] if decode_first else [*others, "decode"]
+        pools = {name: PoolState(2, 1 if name == "image" else 4) for name in names}
+        delays = {"encode": 10.0, "prefill": 10.0, stage: 900.0}
+        met = LoadWindow(window_ms=300_000, completed=100, queue_delay_ms=delays)
+        short = LoadWindow(window_ms=300_000, completed=100, slo_attainment=0.5,
+                           queue_delay_ms=delays)
+        base = _autoscaler(topology=topology, budget=1024).decide(met, pools).targets
+        got = _autoscaler(topology=topology, budget=1024).decide(short, pools).targets
+        assert got == {**base, pool: base[pool] + 1}
 
     def test_hysteresis_two_low_windows(self):
         scaler = _autoscaler()

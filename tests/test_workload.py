@@ -46,15 +46,17 @@ class TestLoadTrace:
             "300,chat,30,0,,1",
         ])
         result = load_trace(path, INTERNVL)
-        arrivals = [r.arrival_ms for r in result.requests]
-        assert arrivals == sorted(arrivals)
+        assert [r.arrival_ms for r in result.requests] == [100, 300, 500]
+        assert [r.text_tokens for r in result.requests] == [20, 30, 10]
+        assert [r.id for r in result.requests] == [0, 1, 2]
 
     def test_malformed_rows_counted(self, tmp_path):
         rows = [f"{i},chat,10,0,,1" for i in range(200)]
         rows.append("bad,chat,x,0,,1")
+        rows.append("5,vision,10,1,0x480,1")  # zero-pixel image
         path = make_trace(tmp_path, rows)
         result = load_trace(path, INTERNVL)
-        assert result.malformed_rows == 1
+        assert result.malformed_rows == 2
         assert len(result.requests) == 200
 
     def test_too_many_malformed_is_hard_error(self, tmp_path):
