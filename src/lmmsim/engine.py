@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -24,6 +25,7 @@ from .core import ModelSpec, Request, SLOSpec, StageKind
 from .profiles import LatencyProfile
 from . import policies as pol
 from .policies import (
+    DEFAULT_MAX_BATCH,
     POOL_ROLES,
     PolicySet,
     SchedulerKind,
@@ -60,13 +62,6 @@ def sample_transfer_ms(medium: TransferMedium, rng: np.random.Generator) -> floa
         return 0.0
     mu, sigma = _TRANSFER_PARAMS[medium]
     return math.exp(mu + sigma * rng.standard_normal())
-
-
-def transfer_latency_ms(request: Request, medium: TransferMedium, rng: np.random.Generator) -> float:
-    """Token-transfer delay for a request; text-only requests transfer nothing."""
-    if not request.is_multimodal:
-        return 0.0
-    return sample_transfer_ms(medium, rng)
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +118,7 @@ class DecodeLane:
         self.step_ms = 0.0
         self.anchor_ms = 0.0
         self.epoch = 0
-        self.admit_queue: list[tuple[int, float, float]] = []  # (request_id, ready_ms, steps)
+        self.admit_queue: list[tuple[int, float, float]] = []  # (request_id, queued_ms, steps)
 
     def load(self) -> int:
         return len(self.members) + len(self.admit_queue)
@@ -145,13 +140,14 @@ class Instance:
         self.gpu_busy = False
         self.cpu_busy = False
         self.decode = DecodeLane()
+        # Tokens routed here and not yet served, in total and per request id
+        # as (text, image); any entry, even a (0, 0) decode hand-off, is work
+        # still on its way, so the instance is not idle.
         self.pending_text_tokens = 0
         self.pending_image_tokens = 0
+        self.reserved: dict[int, tuple[int, int]] = {}
         self.started_ms = 0.0
         self.stopped_ms: float | None = None
-
-    def decode_load(self) -> int:
-        return self.decode.load()
 
     def idle(self) -> bool:
         return (
@@ -160,6 +156,7 @@ class Instance:
             and not self.gpu_queue
             and not self.cpu_queue
             and self.decode.empty()
+            and not self.reserved
         )
 
     def __repr__(self):
@@ -215,6 +212,10 @@ class RequestRecord:
     def completed(self) -> bool:
         return self.completion_ms is not None
 
+    @property
+    def modality(self) -> str:
+        return "image-text" if self.multimodal else "text-only"
+
 
 CSV_FIELDS = [
     "request_id", "service_id", "modality", "arrival_ms", "text_tokens", "image_tokens",
@@ -259,28 +260,13 @@ class MetricsLog:
     def to_csv(self, path) -> None:
         import csv
 
+        row = operator.attrgetter(*CSV_FIELDS)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_FIELDS)
             for rec in self.records.values():
-                def fmt(x):
-                    if x is None:
-                        return ""
-                    if isinstance(x, float):
-                        return f"{x:.4f}"
-                    return x
-
-                w.writerow([
-                    rec.request_id, rec.service_id,
-                    "image-text" if rec.multimodal else "text-only",
-                    fmt(rec.arrival_ms), rec.text_tokens, rec.image_tokens,
-                    rec.output_tokens, rec.n_images, fmt(rec.prep_start_ms),
-                    fmt(rec.prep_end_ms), fmt(rec.encode_start_ms), fmt(rec.encode_end_ms),
-                    fmt(rec.transfer_end_ms), fmt(rec.prefill_start_ms), fmt(rec.prefill_end_ms),
-                    fmt(rec.ttft_ms), fmt(rec.completion_ms), fmt(rec.tbt_p99_ms),
-                    fmt(rec.ttft_slo_ms), fmt(rec.tbt_slo_ms),
-                    "" if rec.slo_ok is None else int(rec.slo_ok),
-                ])
+                w.writerow(["" if x is None else f"{x:.4f}" if isinstance(x, float)
+                            else int(x) if isinstance(x, bool) else x for x in row(rec)])
 
 
 def weighted_quantile(pairs: list[tuple[float, float]], q: float) -> float:
@@ -311,8 +297,6 @@ EV_ARRIVAL = 6
 EV_SCALE_TICK = 7
 
 _EPS = 1e-6
-
-DEFAULT_MAX_BATCH = {"preprocess": 8, "encode": 1, "prefill": 8, "decode": 48}
 
 
 class Simulation:
@@ -366,7 +350,6 @@ class Simulation:
         self.requests: dict[int, Request] = {}
         self.shards_pending: dict[int, int] = {}
         self.log = MetricsLog(horizon_ms, seed)
-        self._reserved: dict[int, dict[int, tuple[int, int]]] = {}
         self._pool_tp: dict[str, int] = {}
 
         # Window accumulators for autoscaling decisions.
@@ -403,7 +386,6 @@ class Simulation:
         self._next_instance_id += 1
         inst.started_ms = self.now
         self.instances[inst.id] = inst
-        self._reserved[inst.id] = {}
         if starting:
             inst.state = InstanceState.STARTING
             self._push(self.now + self.start_delay_ms, EV_INSTANCE_STARTED, inst.id)
@@ -435,11 +417,16 @@ class Simulation:
     # ------------------------------------------------------------------
     # Pools and routing
     # ------------------------------------------------------------------
+    # Instance ids only increase, so self.instances is in id order and so
+    # are these lists.
     def _active(self, pool: str) -> list[Instance]:
-        return sorted(
-            (i for i in self.instances.values() if i.pool == pool and i.state is InstanceState.ACTIVE),
-            key=lambda i: i.id,
-        )
+        return [i for i in self.instances.values()
+                if i.pool == pool and i.state is InstanceState.ACTIVE]
+
+    def _live(self, pool: str) -> list[Instance]:
+        """The instances that count toward a pool's size: active or starting."""
+        return [i for i in self.instances.values()
+                if i.pool == pool and i.state in (InstanceState.ACTIVE, InstanceState.STARTING)]
 
     # ------------------------------------------------------------------
     # Run loop
@@ -527,7 +514,7 @@ class Simulation:
             return
         self.shards_pending[req.id] = len(assignment)
         for shard_id, (inst, image_idx) in enumerate(assignment):
-            self._enqueue_shard(inst, req, image_idx, shard_id, count_pending=True)
+            self._enqueue_shard(inst, req, image_idx, shard_id, reserve=True)
 
     def _route_to_text_pool(self, req: Request) -> None:
         """Reserve a text instance: on arrival, or once a request's images are encoded."""
@@ -537,21 +524,22 @@ class Simulation:
         if inst is None:
             self.pool_waiting["text"].append(partial(self._route_to_text_pool, req))
             return
-        self._reserve(inst, req, text=True, image=True)
+        self._reserve(inst, req.id, req.text_tokens, req.total_image_tokens)
         if not req.is_multimodal:
             self._enqueue_prefill(inst, req)
         elif self.roles.colocated_encoder:
             # The whole pipeline runs on this one instance.
-            self._enqueue_shard(inst, req, list(range(len(req.images))), 0, count_pending=False)
+            self._enqueue_shard(inst, req, list(range(len(req.images))), 0, reserve=False)
         else:
-            delay = transfer_latency_ms(req, self.transfer_medium, self.rng)
+            delay = sample_transfer_ms(self.transfer_medium, self.rng)
             self._push(self.now + delay, EV_TRANSFER_DONE, (req.id, inst.id))
 
     def _route_to_decode_pool(self, req: Request, steps: int) -> None:
-        target = pol.route_decode(self._active(self.roles.decode), self.rr_state)
+        target = pol.route_decode(self._active(self.roles.decode))
         if target is None:
             self.pool_waiting["decode"].append(partial(self._route_to_decode_pool, req, steps))
             return
+        self._reserve(target, req.id, 0, 0)  # the hand-off, until it arrives
         delay = sample_transfer_ms(self.transfer_medium, self.rng)
         self._push(self.now + delay, EV_DECODE_ARRIVAL, (req.id, target.id, steps))
 
@@ -564,17 +552,18 @@ class Simulation:
     # ------------------------------------------------------------------
     # Pending-token reservations
     # ------------------------------------------------------------------
-    def _reserve(self, inst: Instance, req: Request, text: bool, image: bool) -> None:
-        t = req.text_tokens if text else 0
-        i = req.total_image_tokens if image else 0
-        inst.pending_text_tokens += t
-        inst.pending_image_tokens += i
-        self._reserved[inst.id][req.id] = (t, i)
+    def _reserve(self, inst: Instance, rid: int, text: int, image: int) -> None:
+        t, i = inst.reserved.get(rid, (0, 0))
+        inst.reserved[rid] = (t + text, i + image)
+        inst.pending_text_tokens += text
+        inst.pending_image_tokens += image
 
-    def _release(self, inst: Instance, req: Request) -> None:
-        t, i = self._reserved[inst.id].pop(req.id, (0, 0))
-        inst.pending_text_tokens -= t
-        inst.pending_image_tokens -= i
+    def _release(self, inst: Instance, rid: int, text: int, image: int) -> None:
+        t, i = inst.reserved.pop(rid)
+        if (t, i) != (text, image):
+            inst.reserved[rid] = (t - text, i - image)
+        inst.pending_text_tokens -= text
+        inst.pending_image_tokens -= image
 
     # ------------------------------------------------------------------
     # CPU lane (preprocess)
@@ -602,27 +591,29 @@ class Simulation:
         self.log.records[rid].shards.setdefault(shard_id, {})[key] = self.now
 
     def _enqueue_shard(self, inst: Instance, req: Request, image_idx: list[int],
-                       shard_id: int, count_pending: bool) -> None:
+                       shard_id: int, reserve: bool) -> None:
         tiles = sum(req.images[k].tiles for k in image_idx)
-        if count_pending:
-            tokens = tiles * self.model.tokens_per_tile
-            inst.pending_image_tokens += tokens
-            prev = self._reserved[inst.id].get(req.id, (0, 0))
-            self._reserved[inst.id][req.id] = (prev[0], prev[1] + tokens)
+        if reserve:
+            self._reserve(inst, req.id, 0, tiles * self.model.tokens_per_tile)
         item = self._new_item(req, StageKind.PREPROCESS, tiles, image_idx, shard_id)
         inst.cpu_queue.append(item)
         self._cpu_dispatch(inst)
 
-    def _cpu_dispatch(self, inst: Instance) -> None:
-        if inst.cpu_busy or inst.state is InstanceState.STARTING or not inst.cpu_queue:
-            return
-        picked = form_batch(inst.cpu_queue, self.now, self.policies.scheduler,
+    def _take_batch(self, inst: Instance, queue: list[WorkItem], busy: bool) -> list[WorkItem]:
+        """Pop the next batch off one lane's queue; [] if the lane cannot start one."""
+        if busy or inst.state is InstanceState.STARTING or not queue:
+            return []
+        picked = form_batch(queue, self.now, self.policies.scheduler,
                             self.policies.aging_slo_fraction, self.max_batch)
-        if not picked:
-            return
-        batch = [inst.cpu_queue[i] for i in picked]
+        batch = [queue[i] for i in picked]
         for i in sorted(picked, reverse=True):
-            inst.cpu_queue.pop(i)
+            queue.pop(i)
+        return batch
+
+    def _cpu_dispatch(self, inst: Instance) -> None:
+        batch = self._take_batch(inst, inst.cpu_queue, inst.cpu_busy)
+        if not batch:
+            return
         tiles = sum(it.tiles for it in batch)
         latency = self.profile.preprocess_latency(tiles, inst.cpu_cores)
         for it in batch:
@@ -657,15 +648,9 @@ class Simulation:
         self._gpu_dispatch(inst)
 
     def _gpu_dispatch(self, inst: Instance) -> None:
-        if inst.gpu_busy or inst.state is InstanceState.STARTING or not inst.gpu_queue:
+        batch = self._take_batch(inst, inst.gpu_queue, inst.gpu_busy)
+        if not batch:
             return
-        picked = form_batch(inst.gpu_queue, self.now, self.policies.scheduler,
-                            self.policies.aging_slo_fraction, self.max_batch)
-        if not picked:
-            return
-        batch = [inst.gpu_queue[i] for i in picked]
-        for i in sorted(picked, reverse=True):
-            inst.gpu_queue.pop(i)
         stage = batch[0].stage
         if stage is StageKind.ENCODE:
             tiles = sum(it.tiles for it in batch)
@@ -675,9 +660,6 @@ class Simulation:
                 if rec.encode_start_ms is None:
                     rec.encode_start_ms = self.now
                 self._shard_stamp(it.request_id, it.shard_id, "encode_start")
-                w = self._win_wait["encode"]
-                w[0] += self.now - it.enqueue_ms
-                w[1] += 1
         else:
             latency = sum(
                 self.profile.prefill_latency(it.text_tokens, it.image_tokens, inst.tp)
@@ -686,9 +668,10 @@ class Simulation:
             for it in batch:
                 rec = self.log.records[it.request_id]
                 rec.prefill_start_ms = self.now
-                w = self._win_wait["prefill"]
-                w[0] += self.now - it.enqueue_ms
-                w[1] += 1
+        w = self._win_wait[stage.value]
+        for it in batch:
+            w[0] += self.now - it.enqueue_ms
+            w[1] += 1
         inst.gpu_busy = True
         self._push(self.now + latency, EV_GPU_FREE, (inst.id, batch))
 
@@ -711,15 +694,7 @@ class Simulation:
         rec.encode_end_ms = self.now
         self._shard_stamp(rid, item.shard_id, "encode_end")
         if inst.pool == "image":
-            tokens = item.tiles * self.model.tokens_per_tile
-            inst.pending_image_tokens -= tokens
-            prev = self._reserved[inst.id].get(rid)
-            if prev is not None:
-                left = (prev[0], prev[1] - tokens)
-                if left == (0, 0):
-                    self._reserved[inst.id].pop(rid)
-                else:
-                    self._reserved[inst.id][rid] = left
+            self._release(inst, rid, 0, item.tiles * self.model.tokens_per_tile)
             self.shards_pending[rid] -= 1
             if self.shards_pending[rid] == 0:
                 del self.shards_pending[rid]
@@ -734,7 +709,7 @@ class Simulation:
         rec = self.log.records[rid]
         rec.prefill_end_ms = self.now
         rec.ttft_ms = self.now - req.arrival_ms
-        self._release(inst, req)
+        self._release(inst, rid, req.text_tokens, req.total_image_tokens)
         decode_steps = req.output_tokens - 1
         if decode_steps <= 0:
             self._complete(req)
@@ -749,7 +724,9 @@ class Simulation:
     # ------------------------------------------------------------------
     def _on_decode_arrival(self, data) -> None:
         rid, inst_id, steps = data
-        self._decode_admit(self.instances[inst_id], rid, steps)
+        inst = self.instances[inst_id]
+        self._release(inst, rid, 0, 0)
+        self._decode_admit(inst, rid, steps)
 
     def _decode_advance(self, inst: Instance) -> None:
         lane = inst.decode
@@ -772,16 +749,12 @@ class Simulation:
         next_dt = min(lane.remaining[r] for r in lane.members) * lane.step_ms
         self._push(self.now + max(next_dt, 0.0), EV_DECODE_DONE, (inst.id, lane.epoch))
 
-    def _decode_admit(self, inst: Instance, rid: int, steps: int, ready_ms: float | None = None) -> None:
+    def _decode_admit(self, inst: Instance, rid: int, steps: int) -> None:
         lane = inst.decode
-        ready = self.now if ready_ms is None else ready_ms
         if len(lane.members) >= self.max_batch["decode"]:
-            lane.admit_queue.append((rid, ready, float(steps)))
+            lane.admit_queue.append((rid, self.now, float(steps)))
             return
         self._decode_advance(inst)
-        wait = self.now - ready
-        if wait > _EPS:
-            self.log.records[rid].tbt_hist.append((wait, 1.0))
         lane.members.append(rid)
         lane.remaining[rid] = float(steps)
         self._decode_reschedule(inst)
@@ -835,16 +808,6 @@ class Simulation:
             for retry in waiting:
                 retry()
 
-    def _pools_snapshot(self) -> dict[str, PoolState]:
-        pools: dict[str, PoolState] = {}
-        for pool_name, tp in self._pool_tp.items():
-            live = [
-                i for i in self.instances.values()
-                if i.pool == pool_name and i.state in (InstanceState.ACTIVE, InstanceState.STARTING)
-            ]
-            pools[pool_name] = PoolState(count=len(live), tp=tp)
-        return pools
-
     def _on_scale_tick(self, _data) -> None:
         interval_s = self.scale_interval_ms / 1000.0
         window = pol.LoadWindow(
@@ -858,7 +821,8 @@ class Simulation:
                 s: (tot / n if n else 0.0) for s, (tot, n) in self._win_wait.items()
             },
         )
-        decision = self.autoscaler.decide(window, self._pools_snapshot())
+        pools = {p: PoolState(count=len(self._live(p)), tp=tp) for p, tp in self._pool_tp.items()}
+        decision = self.autoscaler.decide(window, pools)
         self.apply_scaling(decision)
         self._win_reset()
         next_tick = self.now + self.scale_interval_ms
@@ -869,29 +833,25 @@ class Simulation:
         additions: list[tuple[str, int]] = []
         event = {"time_ms": self.now, "targets": dict(decision.targets), "flags": list(decision.flags)}
         for pool_name, target in decision.targets.items():
-            tp = decision.tp[pool_name]
-            live = [
-                i for i in self.instances.values()
-                if i.pool == pool_name and i.state in (InstanceState.ACTIVE, InstanceState.STARTING)
-            ]
+            live = self._live(pool_name)
             delta = target - len(live)
             if delta > 0:
-                additions.extend([(pool_name, tp)] * delta)
+                additions.extend([(pool_name, decision.tp[pool_name])] * delta)
             elif delta < 0:
                 active = [i for i in live if i.state is InstanceState.ACTIVE]
                 floor = 1 if is_text_family(pool_name) else 0
                 starting = [i for i in live if i.state is InstanceState.STARTING]
                 to_remove = -delta
-                # Cancel instances that never started first, newest first.
-                for inst in sorted(starting, key=lambda i: -i.id):
+                # Cancel instances that never started first, newest first;
+                # then drain the newest active ones.
+                for inst in reversed(starting):
                     if to_remove == 0:
                         break
                     inst.state = InstanceState.STOPPED
                     inst.stopped_ms = self.now
                     to_remove -= 1
-                drainable = sorted(active, key=lambda i: -i.id)
                 keep = max(floor, len(active) - to_remove)
-                for inst in drainable[: len(active) - keep]:
+                for inst in active[keep:]:
                     inst.state = InstanceState.DRAINING
                     self._maybe_stop_drained(inst)
         if additions:
@@ -905,19 +865,15 @@ class Simulation:
         self.log.scale_events.append(event)
 
     def _server_views(self) -> list[ServerView]:
-        views = []
-        for s in self.servers.values():
-            used = sum(
-                i.tp for i in self.instances.values()
-                if i.server_id == s.server_id and i.state is not InstanceState.STOPPED
-            )
-            hosts_text = any(
-                is_text_family(i.pool)
-                for i in self.instances.values()
-                if i.server_id == s.server_id and i.state is not InstanceState.STOPPED
-            )
-            views.append(ServerView(s.server_id, s.gpus, s.gpus - used, hosts_text))
-        return views
+        used = dict.fromkeys(self.servers, 0)
+        hosts_text = set()
+        for i in self.instances.values():
+            if i.state is not InstanceState.STOPPED:
+                used[i.server_id] += i.tp
+                if is_text_family(i.pool):
+                    hosts_text.add(i.server_id)
+        return [ServerView(sid, s.gpus, s.gpus - used[sid], sid in hosts_text)
+                for sid, s in self.servers.items()]
 
     def _maybe_stop_drained(self, inst: Instance) -> None:
         if inst.state is InstanceState.DRAINING and inst.idle():
@@ -930,19 +886,14 @@ class Simulation:
     # ------------------------------------------------------------------
     def _check_invariants(self) -> None:
         for inst in self.instances.values():
-            if inst.state is InstanceState.STOPPED:
-                continue
-            t = sum(v[0] for v in self._reserved[inst.id].values())
-            i = sum(v[1] for v in self._reserved[inst.id].values())
-            assert inst.pending_text_tokens == t, (
-                f"{inst}: pending text {inst.pending_text_tokens} != tracked {t}"
-            )
-            assert inst.pending_image_tokens == i, (
-                f"{inst}: pending image {inst.pending_image_tokens} != tracked {i}"
-            )
-        for s in self.servers.values():
-            used = sum(
-                i.tp for i in self.instances.values()
-                if i.server_id == s.server_id and i.state is not InstanceState.STOPPED
-            )
-            assert used <= s.gpus, f"server {s.server_id} oversubscribed: {used}/{s.gpus}"
+            pending = (inst.pending_text_tokens, inst.pending_image_tokens)
+            reserved = (sum(t for t, _ in inst.reserved.values()),
+                        sum(i for _, i in inst.reserved.values()))
+            assert pending == reserved, f"{inst}: pending {pending} != reserved {reserved}"
+            assert inst.state is not InstanceState.STOPPED or inst.idle(), f"{inst} holds work"
+        views = self._server_views()
+        for v in views:
+            assert v.gpus_free >= 0, f"server {v.server_id} oversubscribed: {v.gpus_total - v.gpus_free}/{v.gpus_total}"
+        used = sum(v.gpus_total - v.gpus_free for v in views)
+        logged = self.log.allocation_log[-1][1]
+        assert logged == used, f"allocation log says {logged} GPUs, instances hold {used}"

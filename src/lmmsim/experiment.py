@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import ModelSpec, Request, SLOSpec, get_model_spec, load_model_specs
 from .engine import (
-    DEFAULT_MAX_BATCH,
     InstancePlan,
     MetricsLog,
     ServerSpec,
@@ -31,6 +30,7 @@ from .metrics import (
     summarize_latency,
 )
 from .policies import (
+    DEFAULT_MAX_BATCH,
     POOL_ROLES,
     AutoscalerKind,
     PlacementKind,
@@ -52,6 +52,55 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field}': {message}")
 
 
+# The keys a config may use: at the top level, in each object section, and in
+# workload.generator. Any other key is rejected, so a misspelt one is never
+# silently ignored.
+_TOP_LEVEL_KEYS = {
+    "model", "profile", "topology", "policies", "cluster", "instances", "workload", "slo",
+    "transfer", "max_batch", "horizon_ms", "seeds", "warmup_fraction", "rate_multiplier",
+    "scale_interval_ms", "start_delay_ms", "capacity",
+}
+_SECTION_KEYS = {
+    "policies": {f.name for f in fields(PolicySet)} - {"topology"},
+    "slo": {"slo_factor", "percentile", "ref_text_tokens", "ttft_base_text_ms",
+            "ttft_base_image_ms", "tbt_base_ms"},
+    "transfer": {"medium"},
+    "cluster": {"servers", "gpus_per_server", "cpu_cores_per_server"},
+    "capacity": {"lo_multiplier", "hi_multiplier", "rel_tol", "horizon_ms", "seeds"},
+}
+_GENERATOR_KEYS = {f.name for f in fields(GeneratorConfig)} - {"model"}
+
+
+def _check_keys(obj: dict, known: set[str], where: str) -> None:
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]}", f"unknown key (expected one of {sorted(known)})")
+
+
+def _num(value, field: str, kind=float):
+    """``value`` converted by ``kind``, or a ConfigError naming ``field``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"must be a number, got {value!r}")
+
+
+_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1)": lambda v: 0 <= v < 1}
+
+
+def _in_range(value, field: str, rule: str) -> float:
+    v = _num(value, field)
+    if not _RANGES[rule](v):
+        raise ConfigError(field, f"must be {rule}")
+    return v
+
+
+def _seed_list(value, field: str) -> list[int]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(field, "must be a non-empty list of integers")
+    return [_num(s, field, int) for s in value]
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict
@@ -63,23 +112,33 @@ class ExperimentConfig:
             raise ConfigError(key, "missing")
         return self.raw.get(key, default)
 
+    def _section(self, key: str, required: bool = False) -> dict:
+        """The object at ``key`` ({} when absent), with unknown keys rejected."""
+        s = self._get(key, {}, required)
+        if not isinstance(s, dict):
+            raise ConfigError(key, "must be an object")
+        _check_keys(s, _SECTION_KEYS[key], f"{key}.")
+        return s
+
     @property
     def seeds(self) -> list[int]:
-        seeds = self._get("seeds", [1])
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError("seeds", "must be a non-empty list of integers")
-        return [int(s) for s in seeds]
+        return _seed_list(self._get("seeds", [1]), "seeds")
 
     @property
     def horizon_ms(self) -> float:
-        h = float(self._get("horizon_ms", required=True))
-        if h <= 0:
-            raise ConfigError("horizon_ms", "must be > 0")
-        return h
+        return _in_range(self._get("horizon_ms", required=True), "horizon_ms", "> 0")
 
     @property
     def warmup_fraction(self) -> float:
-        return float(self._get("warmup_fraction", 0.1))
+        return _in_range(self._get("warmup_fraction", 0.1), "warmup_fraction", "in [0, 1)")
+
+    @property
+    def scale_interval_ms(self) -> float:
+        return _in_range(self._get("scale_interval_ms", 300_000.0), "scale_interval_ms", "> 0")
+
+    @property
+    def start_delay_ms(self) -> float:
+        return _in_range(self._get("start_delay_ms", 60_000.0), "start_delay_ms", ">= 0")
 
     @property
     def topology(self) -> Topology:
@@ -91,18 +150,18 @@ class ExperimentConfig:
 
     @property
     def transfer_medium(self) -> TransferMedium:
-        t = self._get("transfer", {"medium": "rdma"})
+        medium = self._section("transfer").get("medium", "rdma")
         try:
-            return TransferMedium(t.get("medium", "rdma"))
+            return TransferMedium(medium)
         except ValueError:
-            raise ConfigError("transfer.medium", f"unknown value {t!r}")
+            raise ConfigError("transfer.medium", f"unknown value {medium!r}")
 
     @property
     def rate_multiplier(self) -> float:
-        return float(self._get("rate_multiplier", 1.0))
+        return _in_range(self._get("rate_multiplier", 1.0), "rate_multiplier", "> 0")
 
     def policies(self) -> PolicySet:
-        p = self._get("policies", {})
+        p = self._section("policies")
         try:
             policies = PolicySet(
                 router=RouterKind(p.get("router", "least_pending")),
@@ -149,26 +208,28 @@ class ExperimentConfig:
         return LatencyProfile.load(path, model)
 
     def slo(self, profile: LatencyProfile) -> SLOSpec:
-        s = self._get("slo", {})
+        s = self._section("slo")
         # Every tail (TTFT/TBT P99, capacity probes, windowed P99) is the 99th
         # percentile; the field is accepted only with that value.
         if s.get("percentile", 0.99) != 0.99:
             raise ConfigError("slo.percentile", "only 0.99 is supported")
-        factor = float(s.get("slo_factor", 5.0))
-        ref_text = int(s.get("ref_text_tokens", 2048))
+        factor = _num(s.get("slo_factor", 5.0), "slo.slo_factor")
+        ref_text = _num(s.get("ref_text_tokens", 2048), "slo.ref_text_tokens", int)
         return SLOSpec(
-            ttft_base_text_ms=float(
-                s.get("ttft_base_text_ms") or profile.ttft_base_text_ms(ref_text)
+            ttft_base_text_ms=_num(
+                s.get("ttft_base_text_ms") or profile.ttft_base_text_ms(ref_text),
+                "slo.ttft_base_text_ms",
             ),
-            ttft_base_image_ms=float(
-                s.get("ttft_base_image_ms") or profile.ttft_base_image_ms()
+            ttft_base_image_ms=_num(
+                s.get("ttft_base_image_ms") or profile.ttft_base_image_ms(),
+                "slo.ttft_base_image_ms",
             ),
-            tbt_base_ms=float(s.get("tbt_base_ms") or profile.tbt_base()),
+            tbt_base_ms=_num(s.get("tbt_base_ms") or profile.tbt_base(), "slo.tbt_base_ms"),
             slo_factor=factor,
         )
 
     def servers(self) -> list[ServerSpec]:
-        c = self._get("cluster", required=True)
+        c = self._section("cluster", required=True)
         try:
             n = int(c["servers"])
             gpus = int(c["gpus_per_server"])
@@ -180,6 +241,7 @@ class ExperimentConfig:
         return [ServerSpec(i, gpus, cores) for i in range(n)]
 
     def max_batch(self) -> dict:
+        """The engine's per-stage batch caps: the defaults, overridden by the config."""
         caps = dict(self._get("max_batch", {}))
         for stage, cap in caps.items():
             if stage not in DEFAULT_MAX_BATCH:
@@ -187,7 +249,18 @@ class ExperimentConfig:
                                   f"unknown stage (expected one of {sorted(DEFAULT_MAX_BATCH)})")
             if not isinstance(cap, int) or cap < 1:
                 raise ConfigError(f"max_batch.{stage}", "must be an integer >= 1")
-        return caps
+        return {**DEFAULT_MAX_BATCH, **caps}
+
+    def capacity(self) -> tuple[float, float, float, float, list[int]]:
+        """The capacity search's (lo, hi, rel_tol, horizon_ms, seeds)."""
+        cap = self._section("capacity")
+        return (
+            _in_range(cap.get("lo_multiplier", 0.25), "capacity.lo_multiplier", "> 0"),
+            _in_range(cap.get("hi_multiplier", 2.0), "capacity.hi_multiplier", "> 0"),
+            _in_range(cap.get("rel_tol", 0.02), "capacity.rel_tol", "> 0"),
+            _in_range(cap.get("horizon_ms", self.horizon_ms), "capacity.horizon_ms", "> 0"),
+            _seed_list(cap.get("seeds", self.seeds), "capacity.seeds"),
+        )
 
     def workload(self, model: ModelSpec, seed: int, rate_multiplier: float,
                  horizon_ms: float) -> list[Request]:
@@ -219,6 +292,7 @@ class ExperimentConfig:
 
     def generator(self, model: ModelSpec, seed: int) -> GeneratorConfig:
         g = dict(self._get("workload", required=True).get("generator", {}))
+        _check_keys(g, _GENERATOR_KEYS, "workload.generator.")
         episodes = tuple(
             BurstEpisode(
                 start_ms=float(e["start_ms"]),
@@ -228,16 +302,8 @@ class ExperimentConfig:
             )
             for e in g.get("burst_episodes", [])
         )
-        kwargs = {}
-        for key in (
-            "base_rate", "text_len_alpha", "image_req_len_alpha", "text_len_min",
-            "text_len_max", "image_req_len_min", "image_req_len_max",
-            "image_request_fraction", "image_dim_median_px", "image_dim_sigma",
-            "image_dim_min_px", "image_dim_max_px", "output_len_median",
-            "output_len_sigma", "output_len_max",
-        ):
-            if key in g:
-                kwargs[key] = g[key]
+        kwargs = {k: v for k, v in g.items()
+                  if k not in ("burst_episodes", "images_per_request", "seed")}
         if "images_per_request" in g:
             kwargs["images_per_request"] = {int(k): float(v) for k, v in g["images_per_request"].items()}
         base_seed = int(g.get("seed", 0))
@@ -301,6 +367,7 @@ def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Eagerly resolve every section so errors surface before any run."""
+    _check_keys(cfg.raw, _TOP_LEVEL_KEYS, "")
     model = cfg.model()
     profile = cfg.profile(model)
     slo = cfg.slo(profile)
@@ -309,6 +376,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     cfg.seeds
     cfg.horizon_ms
     cfg.transfer_medium
+    cfg.warmup_fraction
+    cfg.rate_multiplier
+    cfg.scale_interval_ms
+    cfg.start_delay_ms
+    cfg.capacity()
     cfg.max_batch()
     w = cfg._get("workload", required=True)
     if "trace" in w:
@@ -340,11 +412,7 @@ def build_simulation(cfg: ExperimentConfig, seed: int, rate_multiplier: float | 
     autoscaler = None
     if policies.autoscaler is AutoscalerKind.TOKEN_AWARE:
         budget = sum(s.gpus for s in servers)
-        autoscaler = TokenAwareAutoscaler(
-            profile, slo, policies, cfg.topology, budget,
-            decode_max_batch=max_batch.get("decode", 48),
-            stage_max_batch={k: v for k, v in max_batch.items() if k in ("encode", "prefill")},
-        )
+        autoscaler = TokenAwareAutoscaler(profile, slo, policies, cfg.topology, budget, max_batch)
     return Simulation(
         model=model,
         profile=profile,
@@ -358,8 +426,8 @@ def build_simulation(cfg: ExperimentConfig, seed: int, rate_multiplier: float | 
         transfer_medium=cfg.transfer_medium,
         max_batch=max_batch,
         autoscaler=autoscaler,
-        scale_interval_ms=float(cfg.raw.get("scale_interval_ms", 300_000.0)),
-        start_delay_ms=float(cfg.raw.get("start_delay_ms", 60_000.0)),
+        scale_interval_ms=cfg.scale_interval_ms,
+        start_delay_ms=cfg.start_delay_ms,
         validate=validate,
     )
 
@@ -488,12 +556,7 @@ def _capacity_probe_worker(raw: dict, base_dir: str, seed: int, rate: float,
 
 def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
     """Largest request rate (req/s) meeting tail SLOs, via bisection."""
-    cap = cfg.raw.get("capacity", {})
-    lo = float(cap.get("lo_multiplier", 0.25))
-    hi = float(cap.get("hi_multiplier", 2.0))
-    rel_tol = float(cap.get("rel_tol", 0.02))
-    horizon = float(cap.get("horizon_ms", cfg.horizon_ms))
-    seeds = [int(s) for s in cap.get("seeds", cfg.seeds)]
+    lo, hi, rel_tol, horizon, seeds = cfg.capacity()
     if len(seeds) < 3:
         seeds = (seeds * 3)[:3]
     base_rate = _offered_rate(cfg)

@@ -77,6 +77,10 @@ def is_text_family(pool: str) -> bool:
     return pool != "image"
 
 
+# Per-stage batch caps of the engine when a config sets none.
+DEFAULT_MAX_BATCH = {"preprocess": 8, "encode": 1, "prefill": 8, "decode": 48}
+
+
 @dataclass(frozen=True)
 class PolicySet:
     router: RouterKind = RouterKind.LEAST_PENDING
@@ -171,11 +175,11 @@ def route_text(request, instances, architecture: Architecture, router: RouterKin
     return min(instances, key=key)
 
 
-def route_decode(instances, rr_state: dict):
+def route_decode(instances):
     """Decode pool routing: least active decode load, ties by id."""
     if not instances:
         return None
-    return min(instances, key=lambda i: (i.decode_load(), i.id))
+    return min(instances, key=lambda i: (i.decode.load(), i.id))
 
 
 # ----------------------------------------------------------------------
@@ -220,19 +224,15 @@ class TokenAwareAutoscaler:
     """
 
     def __init__(self, profile: LatencyProfile, slo: SLOSpec, policies: PolicySet,
-                 topology: Topology, gpu_budget: int, decode_max_batch: int = 48,
-                 stage_max_batch: dict | None = None):
+                 topology: Topology, gpu_budget: int, max_batch: dict = DEFAULT_MAX_BATCH):
         self.profile = profile
         self.slo = slo
         self.policies = policies
         self.topology = topology
         self.gpu_budget = gpu_budget
-        self.decode_max_batch = decode_max_batch
-        # Configured per-stage batch caps; batching inflates completion
+        # The engine's per-stage batch caps; batching inflates completion
         # latency of compute-bound stages, which capacity planning prices in.
-        self.stage_max_batch = {"encode": 1, "prefill": 1}
-        if stage_max_batch:
-            self.stage_max_batch.update(stage_max_batch)
+        self.max_batch = max_batch
         self._low_windows: dict[str, int] = {}
 
     def _capacity(self, kind: str, tp: int) -> float:
@@ -244,16 +244,16 @@ class TokenAwareAutoscaler:
             service, job = p.stage_job(StageKind.ENCODE, tp)
             share = p.stage_slo_share_ms(StageKind.ENCODE, slo)
             slack = (share - service) / tail
-            cap = self.stage_max_batch["encode"]
+            cap = self.max_batch["encode"]
             return max(batch_aware_capacity_tokens_per_s(service, job, slack, cap), 1e-9)
         if kind in ("text", "prefill"):
             service, job = p.stage_job(StageKind.PREFILL, tp)
             share = p.stage_slo_share_ms(StageKind.PREFILL, slo)
             slack = (share - service) / tail
-            cap = self.stage_max_batch["prefill"]
+            cap = self.max_batch["prefill"]
             return max(batch_aware_capacity_tokens_per_s(service, job, slack, cap), 1e-9)
         if kind == "decode":
-            return max(p.decode_max_capacity(tp, slo, self.decode_max_batch), 1e-9)
+            return max(p.decode_max_capacity(tp, slo, self.max_batch["decode"]), 1e-9)
         if kind == "monolith":
             from .profiles import _interp_tp
 
@@ -263,7 +263,7 @@ class TokenAwareAutoscaler:
                 table, p.model.default_tp_text)
             slack = min(slo.ttft_slo_ms(True) - service,
                         slo.ttft_slo_ms(False) - text_service) / tail
-            cap = self.stage_max_batch["prefill"]
+            cap = self.max_batch["prefill"]
             return max(batch_aware_capacity_tokens_per_s(service, job, slack, cap), 1e-9)
         raise ValueError(f"unknown pool kind {kind}")
 

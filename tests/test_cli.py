@@ -72,11 +72,36 @@ class TestSimulate:
         ({"max_batch": {"prefil": 4}}, "max_batch.prefil"),
         ({"max_batch": {"decode": 0}}, "max_batch.decode"),
         ({"slo": {"slo_factor": 5.0, "percentile": 0.95}}, "slo.percentile"),
+        ({"warmup_fraction": 2.0}, "warmup_fraction"),
+        ({"warmup_fraction": -0.1}, "warmup_fraction"),
+        ({"scale_interval_ms": 0}, "scale_interval_ms"),
+        ({"start_delay_ms": -1}, "start_delay_ms"),
+        ({"rate_multiplier": 0}, "rate_multiplier"),
+        ({"seeds": ["a"]}, "seeds"),
+        ({"slo": {"slo_factor": "x"}}, "slo.slo_factor"),
+        ({"horizon_ms": "abc"}, "horizon_ms"),
+        ({"capacity": {"lo_multiplier": "x"}}, "capacity.lo_multiplier"),
+        ({"transfer": "tcp"}, "transfer"),
+        ({"policies": "least_pending"}, "policies"),
+        ({"horizn_ms": 60_000}, "horizn_ms"),
+        ({"policies": {"routr": "round_robin"}}, "policies.routr"),
+        ({"slo": {"slo_factr": 5.0}}, "slo.slo_factr"),
+        ({"transfer": {"medium": "rdma", "gbps": 100}}, "transfer.gbps"),
+        ({"cluster": {"servers": 1, "gpus_per_server": 8, "gpu": 8}}, "cluster.gpu"),
+        ({"capacity": {"lo": 0.5}}, "capacity.lo"),
+        ({"workload": {"generator": {"base_rat": 2.0}}}, "workload.generator.base_rat"),
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+
+    def test_auto_instances_runs(self, tmp_path):
+        cfg = write_config(tmp_path, {"instances": "auto", "seeds": [1]})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["aggregate"]["completed_total"] > 0
 
     def test_pool_mismatch_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"instances": {"monolith": {"count": 2, "tp": 4}}})

@@ -8,13 +8,13 @@ from conftest import MODELS, PROFILES, make_request, make_sim, make_slo
 from lmmsim.core import StageKind
 from lmmsim.engine import (
     InstancePlan,
+    InstanceState,
     ServerSpec,
     SimulationError,
     TransferMedium,
     WorkItem,
     form_batch,
     sample_transfer_ms,
-    transfer_latency_ms,
     weighted_quantile,
 )
 from lmmsim.policies import (
@@ -222,9 +222,10 @@ class TestTransferModel:
         assert p99 == pytest.approx(180.0, rel=0.05)
 
     def test_text_only_no_transfer(self):
-        rng = np.random.default_rng(0)
         req = make_request(0, 0, text=10, n_images=0)
-        assert transfer_latency_ms(req, TransferMedium.TCP, rng) == 0.0
+        rec = make_sim([req], transfer=TransferMedium.TCP).run().records[0]
+        assert rec.transfer_end_ms is None
+        assert rec.prefill_start_ms == 0.0
 
 
 class TestFormBatch:
@@ -317,6 +318,59 @@ class TestScaling:
         assert any("unplaced" in f for e in log.scale_events for f in e["flags"])
 
 
+class TestDrainWaitsForRoutedWork:
+    """A draining instance stops only once work already routed to it has run."""
+
+    @staticmethod
+    def _scale_after(sim, route: str, rid: int, decision: ScalingDecision) -> None:
+        """Apply ``decision`` right after request ``rid`` is routed by ``route``."""
+        orig = getattr(sim, route)
+
+        def route_then_scale(req, *args):
+            orig(req, *args)
+            if req.id == rid:
+                sim.apply_scaling(decision)
+
+        setattr(sim, route, route_then_scale)
+
+    @staticmethod
+    def _stopped(sim, pool):
+        [inst] = [i for i in sim.instances.values()
+                  if i.pool == pool and i.state is InstanceState.STOPPED]
+        return inst
+
+    def test_token_transfer_in_flight(self):
+        # Request 1's image tokens are on their way to the second text
+        # instance when the text pool is scaled down to one.
+        reqs = [make_request(0, 0.0, text=20_000),
+                make_request(1, 1.0, text=100, n_images=1)]
+        sim = make_sim(reqs, plan=[InstancePlan("text", 2, 2), InstancePlan("image", 1, 4)],
+                       transfer=TransferMedium.TCP)
+        self._scale_after(sim, "_route_to_text_pool", 1, ScalingDecision(
+            targets={"text": 1, "image": 4}, tp={"text": 2, "image": 1}))
+        log = sim.run()
+        assert log.completed == 2
+        rec = log.records[1]
+        assert rec.encode_end_ms < rec.transfer_end_ms
+        assert self._stopped(sim, "text").stopped_ms >= rec.completion_ms
+
+    def test_decode_hand_off_in_flight(self):
+        # Request 0 decodes on the first decode instance, so request 1's
+        # hand-off goes to the second, which is then drained.
+        reqs = [make_request(0, 0.0, text=500, out=400),
+                make_request(1, 1000.0, text=500, out=20)]
+        sim = make_sim(reqs, topology=Topology.DECOUPLED_PD,
+                       plan=[InstancePlan("prefill", 2, 1), InstancePlan("decode", 2, 2),
+                             InstancePlan("image", 1, 2)],
+                       transfer=TransferMedium.TCP)
+        self._scale_after(sim, "_route_to_decode_pool", 1, ScalingDecision(
+            targets={"prefill": 1, "decode": 1, "image": 2},
+            tp={"prefill": 2, "decode": 2, "image": 1}))
+        log = sim.run()
+        assert log.completed == 2
+        assert self._stopped(sim, "decode").stopped_ms >= log.records[1].completion_ms
+
+
 class TestConservation:
     def test_arrived_equals_completed_plus_in_flight(self):
         rng = np.random.default_rng(5)
@@ -402,9 +456,10 @@ class TestDeadlock:
         # An image request with an image pool that never activates.
         req = make_request(0, 0.0, text=100, n_images=1)
         sim = make_sim([req], plan=[InstancePlan("text", 4, 1), InstancePlan("image", 1, 1)])
-        inst = next(i for i in sim.instances.values() if i.pool == "image")
-        from lmmsim.engine import InstanceState
-        inst.state = InstanceState.STOPPED
+        sim.apply_scaling(ScalingDecision(targets={"image": 0, "text": 1},
+                                          tp={"image": 1, "text": 4}))
+        assert [i.state for i in sim.instances.values() if i.pool == "image"] == [
+            InstanceState.STOPPED]
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run()
 

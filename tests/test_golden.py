@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lmmsim.experiment import config_from_dict, run_experiment
+from lmmsim.experiment import build_simulation, config_from_dict, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,3 +91,11 @@ def request_digests(raw: dict, out_dir: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_requests_csv_unchanged(name, tmp_path):
     assert request_digests(VARIANTS[name], tmp_path) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_invariants_hold(name):
+    # validate=True asserts the engine's invariants after every event; the
+    # autoscaling variants drain and stop instances along the way.
+    log = build_simulation(config_from_dict(VARIANTS[name], CONFIGS), 1, validate=True).run()
+    assert log.completed > 0

@@ -1,3 +1,5 @@
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import MODELS, PROFILES, make_request, make_slo
 from lmmsim.core import Architecture, StageKind, get_model_spec
+from lmmsim.experiment import build_simulation, config_from_dict
 from lmmsim.policies import (
     LoadWindow,
     PlacementKind,
@@ -287,6 +290,19 @@ class TestAutoscaler:
         b = scaler2.decide(
             LoadWindow(window_ms=300_000, image_token_rate=3.3 * mc2), pools).targets["image"]
         assert a == b
+
+
+    def test_prices_the_engine_batch_caps(self):
+        # A token-aware demo that sets no max_batch: the autoscaler sizes
+        # pools for the batches the engine forms (prefill 8), not for caps
+        # of its own.
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        raw = json.loads((configs / "demo.json").read_text())
+        del raw["max_batch"]
+        raw["policies"]["autoscaler"] = "token_aware"
+        sim = build_simulation(config_from_dict(raw, configs), 1)
+        assert sim.max_batch["prefill"] == 8
+        assert sim.autoscaler.max_batch == sim.max_batch
 
 
 class TestInitialSizing:
