@@ -15,6 +15,8 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -28,6 +30,7 @@ from .policies import (
     DEFAULT_MAX_BATCH,
     POOL_ROLES,
     PolicySet,
+    RouterKind,
     SchedulerKind,
     ServerView,
     TokenAwareAutoscaler,
@@ -118,7 +121,7 @@ class DecodeLane:
         self.step_ms = 0.0
         self.anchor_ms = 0.0
         self.epoch = 0
-        self.admit_queue: list[tuple[int, float, float]] = []  # (request_id, queued_ms, steps)
+        self.admit_queue: deque[tuple[int, float, float]] = deque()  # (request_id, queued_ms, steps)
 
     def load(self) -> int:
         return len(self.members) + len(self.admit_queue)
@@ -134,7 +137,7 @@ class Instance:
         self.tp = tp
         self.server_id = server_id
         self.cpu_cores = cpu_cores
-        self.state = InstanceState.ACTIVE
+        self.state = InstanceState.STARTING  # until Simulation._spawn sets it
         self.gpu_queue: list[WorkItem] = []
         self.cpu_queue: list[WorkItem] = []
         self.gpu_busy = False
@@ -161,6 +164,55 @@ class Instance:
 
     def __repr__(self):
         return f"<Instance {self.id} {self.pool} tp={self.tp} {self.state.value}>"
+
+
+_instance_id = operator.attrgetter("id")
+
+
+class LoadIndex(pol.LoadOrder):
+    """One routed pool's ACTIVE instances, in id order and by (load, id).
+
+    ``key`` is the pool's least-pending load (``policies.load_key``). The
+    engine adds and removes instances as they enter and leave ACTIVE and
+    calls ``update`` whenever an active instance's load may have changed.
+    As a sequence the index reads in (load, id) order, so the routers find
+    the least-loaded instances at its head instead of by a scan.
+    """
+
+    def __init__(self, key, instances: dict[int, Instance]):
+        self.key = key
+        self.active: list[Instance] = []
+        self.by_load: list[tuple[int, int]] = []
+        self._entry: dict[int, tuple[int, int]] = {}  # instance id -> its by_load entry
+        self._instances = instances
+
+    def add(self, inst: Instance) -> None:
+        insort(self.active, inst, key=_instance_id)
+        entry = (self.key(inst), inst.id)
+        insort(self.by_load, entry)
+        self._entry[inst.id] = entry
+
+    def remove(self, inst: Instance) -> None:
+        del self.active[bisect_left(self.active, inst.id, key=_instance_id)]
+        entry = self._entry.pop(inst.id)
+        del self.by_load[bisect_left(self.by_load, entry)]
+
+    def update(self, inst: Instance) -> None:
+        old = self._entry[inst.id]
+        new = (self.key(inst), inst.id)
+        if new != old:
+            by_load = self.by_load
+            del by_load[bisect_left(by_load, old)]
+            insort(by_load, new)
+            self._entry[inst.id] = new
+
+    def __len__(self) -> int:
+        return len(self.by_load)
+
+    def __getitem__(self, pos):
+        if isinstance(pos, slice):
+            return [self._instances[i] for _, i in self.by_load[pos]]
+        return self._instances[self.by_load[pos][1]]
 
 
 @dataclass
@@ -351,6 +403,13 @@ class Simulation:
         self.shards_pending: dict[int, int] = {}
         self.log = MetricsLog(horizon_ms, seed)
         self._pool_tp: dict[str, int] = {}
+        # One load index per routed pool, keyed by the load its router uses.
+        routed = {self.roles.text: pol.load_key("text", model.architecture)}
+        if not self.roles.colocated_encoder:
+            routed[self.roles.image_entry] = pol.load_key("image")
+        if self.roles.decode is not None:
+            routed[self.roles.decode] = pol.load_key("decode")
+        self.load_index = {pool: LoadIndex(key, self.instances) for pool, key in routed.items()}
 
         # Window accumulators for autoscaling decisions.
         self._win_reset()
@@ -387,9 +446,24 @@ class Simulation:
         inst.started_ms = self.now
         self.instances[inst.id] = inst
         if starting:
-            inst.state = InstanceState.STARTING
             self._push(self.now + self.start_delay_ms, EV_INSTANCE_STARTED, inst.id)
+        else:
+            self._set_state(inst, InstanceState.ACTIVE)
         return inst
+
+    def _set_state(self, inst: Instance, state: InstanceState) -> None:
+        """Every state change goes through here, so each load index holds
+        exactly the ACTIVE instances of its pool."""
+        index = self.load_index.get(inst.pool)
+        active = InstanceState.ACTIVE
+        if index is not None and (inst.state is active) != (state is active):
+            if state is active:
+                index.add(inst)
+            else:
+                index.remove(inst)
+        inst.state = state
+        if state is InstanceState.STOPPED:
+            inst.stopped_ms = self.now
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -417,12 +491,22 @@ class Simulation:
     # ------------------------------------------------------------------
     # Pools and routing
     # ------------------------------------------------------------------
-    # Instance ids only increase, so self.instances is in id order and so
-    # are these lists.
-    def _active(self, pool: str) -> list[Instance]:
-        return [i for i in self.instances.values()
-                if i.pool == pool and i.state is InstanceState.ACTIVE]
+    def _candidates(self, pool: str):
+        """What a router picks from: every active instance of the pool, in
+        (load, id) order for least-pending and in id order for round-robin."""
+        index = self.load_index[pool]
+        if self.policies.router is RouterKind.LEAST_PENDING:
+            return index
+        return index.active
 
+    def _reindex(self, inst: Instance) -> None:
+        """Re-sort an instance in its pool's load index after its load changed."""
+        index = self.load_index.get(inst.pool)
+        if index is not None and inst.state is InstanceState.ACTIVE:
+            index.update(inst)
+
+    # Instance ids only increase, so self.instances is in id order and so
+    # is this list.
     def _live(self, pool: str) -> list[Instance]:
         """The instances that count toward a pool's size: active or starting."""
         return [i for i in self.instances.values()
@@ -506,7 +590,7 @@ class Simulation:
     # Each _route_to_* call that finds no active instance parks itself in
     # pool_waiting and is retried unchanged by _flush_waiting.
     def _route_to_image_pool(self, req: Request) -> None:
-        pool = self._active(self.roles.image_entry)
+        pool = self._candidates(self.roles.image_entry)
         assignment = pol.route_image(req, pool, self.policies.router,
                                      self.policies.max_fanout, self.rr_state)
         if assignment is None:
@@ -518,7 +602,7 @@ class Simulation:
 
     def _route_to_text_pool(self, req: Request) -> None:
         """Reserve a text instance: on arrival, or once a request's images are encoded."""
-        pool = self._active(self.roles.text)
+        pool = self._candidates(self.roles.text)
         inst = pol.route_text(req, pool, self.model.architecture,
                               self.policies.router, self.rr_state)
         if inst is None:
@@ -535,7 +619,7 @@ class Simulation:
             self._push(self.now + delay, EV_TRANSFER_DONE, (req.id, inst.id))
 
     def _route_to_decode_pool(self, req: Request, steps: int) -> None:
-        target = pol.route_decode(self._active(self.roles.decode))
+        target = pol.route_decode(self._candidates(self.roles.decode))
         if target is None:
             self.pool_waiting["decode"].append(partial(self._route_to_decode_pool, req, steps))
             return
@@ -557,6 +641,7 @@ class Simulation:
         inst.reserved[rid] = (t + text, i + image)
         inst.pending_text_tokens += text
         inst.pending_image_tokens += image
+        self._reindex(inst)
 
     def _release(self, inst: Instance, rid: int, text: int, image: int) -> None:
         t, i = inst.reserved.pop(rid)
@@ -564,6 +649,7 @@ class Simulation:
             inst.reserved[rid] = (t - text, i - image)
         inst.pending_text_tokens -= text
         inst.pending_image_tokens -= image
+        self._reindex(inst)
 
     # ------------------------------------------------------------------
     # CPU lane (preprocess)
@@ -753,11 +839,13 @@ class Simulation:
         lane = inst.decode
         if len(lane.members) >= self.max_batch["decode"]:
             lane.admit_queue.append((rid, self.now, float(steps)))
-            return
-        self._decode_advance(inst)
-        lane.members.append(rid)
-        lane.remaining[rid] = float(steps)
-        self._decode_reschedule(inst)
+        else:
+            self._decode_advance(inst)
+            lane.members.append(rid)
+            lane.remaining[rid] = float(steps)
+            self._decode_reschedule(inst)
+        if inst.pool == self.roles.decode:
+            self._reindex(inst)
 
     def _on_decode_done(self, data) -> None:
         inst_id, epoch = data
@@ -772,13 +860,15 @@ class Simulation:
             del lane.remaining[rid]
             self._complete(self.requests[rid])
         while lane.admit_queue and len(lane.members) < self.max_batch["decode"]:
-            rid, ready, steps = lane.admit_queue.pop(0)
+            rid, ready, steps = lane.admit_queue.popleft()
             wait = self.now - ready
             if wait > _EPS:
                 self.log.records[rid].tbt_hist.append((wait, 1.0))
             lane.members.append(rid)
             lane.remaining[rid] = steps
         self._decode_reschedule(inst)
+        if inst.pool == self.roles.decode:
+            self._reindex(inst)
         self._maybe_stop_drained(inst)
 
     def _complete(self, req: Request) -> None:
@@ -799,7 +889,7 @@ class Simulation:
     def _on_instance_started(self, inst_id: int) -> None:
         inst = self.instances[inst_id]
         if inst.state is InstanceState.STARTING:
-            inst.state = InstanceState.ACTIVE
+            self._set_state(inst, InstanceState.ACTIVE)
             self._flush_waiting()
 
     def _flush_waiting(self) -> None:
@@ -847,12 +937,11 @@ class Simulation:
                 for inst in reversed(starting):
                     if to_remove == 0:
                         break
-                    inst.state = InstanceState.STOPPED
-                    inst.stopped_ms = self.now
+                    self._set_state(inst, InstanceState.STOPPED)
                     to_remove -= 1
                 keep = max(floor, len(active) - to_remove)
                 for inst in active[keep:]:
-                    inst.state = InstanceState.DRAINING
+                    self._set_state(inst, InstanceState.DRAINING)
                     self._maybe_stop_drained(inst)
         if additions:
             views = self._server_views()
@@ -877,8 +966,7 @@ class Simulation:
 
     def _maybe_stop_drained(self, inst: Instance) -> None:
         if inst.state is InstanceState.DRAINING and inst.idle():
-            inst.state = InstanceState.STOPPED
-            inst.stopped_ms = self.now
+            self._set_state(inst, InstanceState.STOPPED)
             self._allocation_changed()
 
     # ------------------------------------------------------------------
@@ -897,3 +985,9 @@ class Simulation:
         used = sum(v.gpus_total - v.gpus_free for v in views)
         logged = self.log.allocation_log[-1][1]
         assert logged == used, f"allocation log says {logged} GPUs, instances hold {used}"
+        for pool, index in self.load_index.items():
+            active = [i for i in self.instances.values()
+                      if i.pool == pool and i.state is InstanceState.ACTIVE]
+            assert index.active == active, f"{pool} index holds {index.active}, active are {active}"
+            by_load = sorted((index.key(i), i.id) for i in active)
+            assert index.by_load == by_load, f"{pool} index by load {index.by_load} != {by_load}"

@@ -69,9 +69,15 @@ _SECTION_KEYS = {
     "capacity": {"lo_multiplier", "hi_multiplier", "rel_tol", "horizon_ms", "seeds"},
 }
 _GENERATOR_KEYS = {f.name for f in fields(GeneratorConfig)} - {"model"}
+_EPISODE_KEYS = {f.name for f in fields(BurstEpisode)}
+_INSTANCE_KEYS = {"count", "tp"}
 
 
-def _check_keys(obj: dict, known: set[str], where: str) -> None:
+def _check_keys(obj, known: set[str], where: str) -> None:
+    """Reject a non-object or any key outside ``known``; ``where`` is the
+    field path prefix, e.g. ``"policies."``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(where.rstrip("."), "must be an object")
     unknown = sorted(set(obj) - known)
     if unknown:
         raise ConfigError(f"{where}{unknown[0]}", f"unknown key (expected one of {sorted(known)})")
@@ -115,8 +121,6 @@ class ExperimentConfig:
     def _section(self, key: str, required: bool = False) -> dict:
         """The object at ``key`` ({} when absent), with unknown keys rejected."""
         s = self._get(key, {}, required)
-        if not isinstance(s, dict):
-            raise ConfigError(key, "must be an object")
         _check_keys(s, _SECTION_KEYS[key], f"{key}.")
         return s
 
@@ -254,9 +258,13 @@ class ExperimentConfig:
     def capacity(self) -> tuple[float, float, float, float, list[int]]:
         """The capacity search's (lo, hi, rel_tol, horizon_ms, seeds)."""
         cap = self._section("capacity")
+        lo = _in_range(cap.get("lo_multiplier", 0.25), "capacity.lo_multiplier", "> 0")
+        hi = _in_range(cap.get("hi_multiplier", 2.0), "capacity.hi_multiplier", "> 0")
+        if lo >= hi:
+            raise ConfigError("capacity.hi_multiplier", f"must be > capacity.lo_multiplier ({lo})")
         return (
-            _in_range(cap.get("lo_multiplier", 0.25), "capacity.lo_multiplier", "> 0"),
-            _in_range(cap.get("hi_multiplier", 2.0), "capacity.hi_multiplier", "> 0"),
+            lo,
+            hi,
             _in_range(cap.get("rel_tol", 0.02), "capacity.rel_tol", "> 0"),
             _in_range(cap.get("horizon_ms", self.horizon_ms), "capacity.horizon_ms", "> 0"),
             _seed_list(cap.get("seeds", self.seeds), "capacity.seeds"),
@@ -291,24 +299,23 @@ class ExperimentConfig:
         raise ConfigError("workload", "needs either 'trace' or 'generator'")
 
     def generator(self, model: ModelSpec, seed: int) -> GeneratorConfig:
-        g = dict(self._get("workload", required=True).get("generator", {}))
+        g = self._get("workload", required=True).get("generator", {})
         _check_keys(g, _GENERATOR_KEYS, "workload.generator.")
-        episodes = tuple(
-            BurstEpisode(
-                start_ms=float(e["start_ms"]),
-                duration_ms=float(e["duration_ms"]),
-                rate_multiplier=float(e.get("rate_multiplier", 1.0)),
-                image_multiplier=float(e.get("image_multiplier", 1.0)),
-            )
-            for e in g.get("burst_episodes", [])
-        )
+        episodes = []
+        for i, e in enumerate(g.get("burst_episodes", [])):
+            where = f"workload.generator.burst_episodes[{i}]"
+            _check_keys(e, _EPISODE_KEYS, f"{where}.")
+            if "start_ms" not in e or "duration_ms" not in e:
+                raise ConfigError(where, "needs start_ms and duration_ms")
+            episodes.append(BurstEpisode(**{k: _num(v, f"{where}.{k}") for k, v in e.items()}))
         kwargs = {k: v for k, v in g.items()
                   if k not in ("burst_episodes", "images_per_request", "seed")}
         if "images_per_request" in g:
             kwargs["images_per_request"] = {int(k): float(v) for k, v in g["images_per_request"].items()}
         base_seed = int(g.get("seed", 0))
         try:
-            cfg = GeneratorConfig(model=model, seed=base_seed + seed, burst_episodes=episodes, **kwargs)
+            cfg = GeneratorConfig(model=model, seed=base_seed + seed,
+                                  burst_episodes=tuple(episodes), **kwargs)
             cfg.validate()
         except (TypeError, ValueError) as e:
             raise ConfigError("workload.generator", str(e))
@@ -338,6 +345,7 @@ class ExperimentConfig:
                     "instances", f"pool '{pool}' invalid for topology {self.topology.value} "
                     f"(expected {sorted(topo_pools)})"
                 )
+            _check_keys(entry, _INSTANCE_KEYS, f"instances.{pool}.")
             try:
                 plan.append(InstancePlan(pool, int(entry["tp"]), int(entry["count"])))
             except (KeyError, TypeError, ValueError) as e:

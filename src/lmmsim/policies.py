@@ -8,8 +8,10 @@ placement).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .core import Architecture, ModelSpec, SLOSpec, StageKind
 from .profiles import LatencyProfile
@@ -136,6 +138,34 @@ def split_by_tiles(tile_sizes: list[int], n_shards: int) -> list[list[int]]:
     return [sorted(s) for s in shards if s]
 
 
+def load_key(role: str, architecture: Architecture | None = None):
+    """The load least-pending routing minimizes over a pool playing ``role``
+    (``"text"``, ``"image"`` or ``"decode"``); ties go to the lower id.
+
+    A cross-attention model's text pool does not hold image tokens in its
+    prompt, so only its text tokens count. The engine's per-pool load index
+    (a ``LoadOrder``) sorts by the same key, so the head the routers take
+    from it is the argmin a scan over the whole pool would find.
+    """
+    if role == "image":
+        return attrgetter("pending_image_tokens")
+    if role == "decode":
+        return lambda i: i.decode.load()
+    if architecture is Architecture.CRO_ATTN:
+        return attrgetter("pending_text_tokens")
+    return lambda i: i.pending_text_tokens + i.pending_image_tokens
+
+
+class LoadOrder(Sequence):
+    """A pool's active instances sorted by ``(load_key(inst), inst.id)``.
+
+    Every active instance of the pool is in it, so it is the whole candidate
+    set; since it is already in least-pending order, the routers take its
+    head instead of scanning it. Any other sequence they scan. The engine's
+    per-pool load index is one.
+    """
+
+
 def route_image(request, instances, router: RouterKind, max_fanout: int, rr_state: dict):
     """Assign a request's images to image instances.
 
@@ -153,8 +183,11 @@ def route_image(request, instances, router: RouterKind, max_fanout: int, rr_stat
         pos = rr_state.get("image", 0)
         rr_state["image"] = pos + fanout
         chosen = [ordered[(pos + k) % len(ordered)] for k in range(fanout)]
+    elif isinstance(instances, LoadOrder):
+        chosen = instances[:fanout]
     else:
-        chosen = sorted(instances, key=lambda i: (i.pending_image_tokens, i.id))[:fanout]
+        key = load_key("image")
+        chosen = sorted(instances, key=lambda i: (key(i), i.id))[:fanout]
     shards = split_by_tiles(tile_sizes, len(chosen))
     return [(chosen[k], shard) for k, shard in enumerate(shards)]
 
@@ -168,18 +201,20 @@ def route_text(request, instances, architecture: Architecture, router: RouterKin
         pos = rr_state.get("text", 0) % len(ordered)
         rr_state["text"] = pos + 1
         return ordered[pos]
-    if architecture is Architecture.CRO_ATTN:
-        key = lambda i: (i.pending_text_tokens, i.id)
-    else:
-        key = lambda i: (i.pending_text_tokens + i.pending_image_tokens, i.id)
-    return min(instances, key=key)
+    if isinstance(instances, LoadOrder):
+        return instances[0]
+    key = load_key("text", architecture)
+    return min(instances, key=lambda i: (key(i), i.id))
 
 
 def route_decode(instances):
     """Decode pool routing: least active decode load, ties by id."""
     if not instances:
         return None
-    return min(instances, key=lambda i: (i.decode.load(), i.id))
+    if isinstance(instances, LoadOrder):
+        return instances[0]
+    key = load_key("decode")
+    return min(instances, key=lambda i: (key(i), i.id))
 
 
 # ----------------------------------------------------------------------

@@ -90,6 +90,14 @@ class TestSimulate:
         ({"cluster": {"servers": 1, "gpus_per_server": 8, "gpu": 8}}, "cluster.gpu"),
         ({"capacity": {"lo": 0.5}}, "capacity.lo"),
         ({"workload": {"generator": {"base_rat": 2.0}}}, "workload.generator.base_rat"),
+        ({"capacity": {"lo_multiplier": 2.0, "hi_multiplier": 0.5}}, "capacity.hi_multiplier"),
+        ({"capacity": {"lo_multiplier": 1.0, "hi_multiplier": 1.0}}, "capacity.hi_multiplier"),
+        ({"workload": {"generator": {"base_rate": 2.0, "burst_episodes": [
+            {"start_ms": 0, "duration_ms": 1000, "rate_mult": 2.0}]}}},
+         "workload.generator.burst_episodes[0].rate_mult"),
+        ({"instances": {"text": {"cnt": 1, "tp": 4}, "image": {"count": 4, "tp": 1}}},
+         "instances.text.cnt"),
+        ({"workload": {"generator": "x"}}, "workload.generator"),
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)
@@ -132,6 +140,14 @@ class TestCapacity:
         result = json.loads((out / "capacity.json").read_text())
         assert result["rate_req_per_s"] >= 0.0
         assert result["probes"]
+
+    def test_inverted_bracket_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "horizon_ms": 10_000,
+            "capacity": {"lo_multiplier": 2.0, "hi_multiplier": 0.5, "seeds": [1]},
+        })
+        assert main(["capacity", "--config", str(cfg)]) == 2
+        assert "capacity.hi_multiplier" in capsys.readouterr().err
 
     def test_infeasible_slo_reports_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MODELS, PROFILES, make_request, make_sim, make_slo
-from lmmsim.core import StageKind
+from lmmsim.core import Architecture, StageKind
 from lmmsim.engine import (
     InstancePlan,
     InstanceState,
@@ -23,6 +25,9 @@ from lmmsim.policies import (
     ScalingDecision,
     SchedulerKind,
     Topology,
+    route_decode,
+    route_image,
+    route_text,
     split_by_tiles,
 )
 
@@ -267,7 +272,7 @@ class TestScaling:
         starting = [i for i in sim.instances.values() if i.state.value == "starting"]
         assert len(starting) == 2
         # Starting instances are not routable yet.
-        assert all(i not in sim._active("image") for i in starting)
+        assert all(i not in sim.load_index["image"].active for i in starting)
 
     def test_colocation_example(self):
         # One TP-4 text plus two TP-2 image instances fill one 8-GPU server.
@@ -369,6 +374,98 @@ class TestDrainWaitsForRoutedWork:
         log = sim.run()
         assert log.completed == 2
         assert self._stopped(sim, "decode").stopped_ms >= log.records[1].completion_ms
+
+
+_INDEX_STEP = st.one_of(
+    st.tuples(st.just("reserve"), st.integers(0, 99),
+              st.sampled_from([0, 100, 200]), st.sampled_from([0, 100, 200])),
+    st.tuples(st.just("release"), st.integers(0, 99)),
+    st.tuples(st.just("admit"), st.integers(0, 99)),
+    st.tuples(st.just("scale"), st.integers(1, 5), st.integers(1, 5), st.integers(0, 8)),
+    st.tuples(st.just("start"), st.integers(0, 99)),
+)
+
+
+class TestLoadIndex:
+    """The engine routes from its per-pool load index; that must pick what a
+    linear scan over every ACTIVE instance of the pool would pick."""
+
+    @staticmethod
+    def _step(sim, step, rid):
+        kind, n, *rest = step
+        insts = list(sim.instances.values())
+        if kind == "reserve":
+            active = [i for i in insts if i.state is InstanceState.ACTIVE]
+            sim._reserve(active[n % len(active)], rid, *rest)
+        elif kind == "release":
+            held = [(i, r) for i in insts for r in i.reserved]
+            if held:
+                inst, r = held[n % len(held)]
+                sim._release(inst, r, *inst.reserved[r])
+                sim._maybe_stop_drained(inst)
+        elif kind == "admit":
+            active = [i for i in insts if i.pool == "decode" and i.state is InstanceState.ACTIVE]
+            sim._decode_admit(active[n % len(active)], rid, 10)
+        elif kind == "scale":
+            sim.apply_scaling(ScalingDecision(
+                targets={"prefill": n, "decode": rest[0], "image": rest[1]},
+                tp={"prefill": 2, "decode": 2, "image": 1}))
+        else:
+            starting = [i for i in insts if i.state is InstanceState.STARTING]
+            if starting:
+                sim._on_instance_started(starting[n % len(starting)].id)
+
+    @staticmethod
+    def _check_routing(sim, model, router):
+        active = {pool: [i for i in sim.instances.values()
+                         if i.pool == pool and i.state is InstanceState.ACTIVE]
+                  for pool in ("prefill", "image", "decode")}
+        cro = MODELS[model].architecture is Architecture.CRO_ATTN
+        if router is RouterKind.ROUND_ROBIN:
+            for pool in ("prefill", "image"):
+                assert sim._candidates(pool) == active[pool]
+        else:
+            # The candidates are the whole pool, already in the routers' order.
+            keys = {"prefill": lambda i: (i.pending_text_tokens
+                                          + (0 if cro else i.pending_image_tokens), i.id),
+                    "image": lambda i: (i.pending_image_tokens, i.id),
+                    "decode": lambda i: (i.decode.load(), i.id)}
+            for pool, key in keys.items():
+                assert list(sim._candidates(pool)) == sorted(active[pool], key=key)
+            req = make_request(0, 0.0, n_images=8, model=model)
+            text = route_text(req, sim._candidates("prefill"), MODELS[model].architecture,
+                              router, {})
+            assert text is min(active["prefill"], key=lambda i: (
+                i.pending_text_tokens + (0 if cro else i.pending_image_tokens), i.id))
+            for n_images in (1, 3, 8):
+                req = make_request(0, 0.0, n_images=n_images, model=model)
+                fanout = min(n_images, sim.policies.max_fanout)
+                assignment = route_image(req, sim._candidates("image"), router,
+                                         sim.policies.max_fanout, {}) or []
+                by_load = sorted(active["image"], key=lambda i: (i.pending_image_tokens, i.id))
+                assert [inst for inst, _ in assignment] == by_load[:fanout]
+        decode = route_decode(sim._candidates("decode"))
+        assert decode is min(active["decode"], key=lambda i: (i.decode.load(), i.id))
+
+    @pytest.mark.parametrize("model,router", [
+        ("llama3.2-11b", RouterKind.LEAST_PENDING),
+        ("internvl-26b", RouterKind.LEAST_PENDING),
+        ("internvl-26b", RouterKind.ROUND_ROBIN),
+    ])
+    @given(steps=st.lists(_INDEX_STEP, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_routing_matches_a_linear_scan(self, model, router, steps):
+        sim = make_sim([], model=model, topology=Topology.DECOUPLED_PD,
+                       policies=PolicySet(router=router, max_fanout=4),
+                       plan=[InstancePlan("prefill", 2, 3), InstancePlan("decode", 2, 3),
+                             InstancePlan("image", 1, 4)],
+                       servers=[ServerSpec(0, 16, 32), ServerSpec(1, 16, 32)],
+                       max_batch={"decode": 2})
+        self._check_routing(sim, model, router)
+        for rid, step in enumerate(steps):
+            self._step(sim, step, rid)
+            sim._check_invariants()
+            self._check_routing(sim, model, router)
 
 
 class TestConservation:

@@ -28,6 +28,17 @@ def _policies(**overrides) -> dict:
     return {**_load("demo.json")["policies"], **overrides}
 
 
+def _scaled(**overrides) -> dict:
+    demo = _load("demo.json")
+    return _demo(
+        cluster={**demo["cluster"], "servers": 32},
+        instances={"text": {"count": 56, "tp": 4}, "image": {"count": 32, "tp": 1}},
+        workload={"generator": {**demo["workload"]["generator"], "base_rate": 40.0}},
+        horizon_ms=40_000,
+        **overrides,
+    )
+
+
 VARIANTS = {
     "demo": _load("demo.json"),
     "demo_monolith": _load("demo_monolith.json"),
@@ -52,6 +63,15 @@ VARIANTS = {
         transfer={"medium": "tcp"},
         scale_interval_ms=60_000, start_delay_ms=20_000,
     ),
+    # The demo ×8 (32 servers, 56 text and 32 image instances, 8× the rate):
+    # many equal-load instances, so routing tie-breaks by id matter.
+    "scaled": _scaled(),
+    # The same with token_aware scaling, which drains and stops 40 instances
+    # out of the middle of the id range and starts 13.
+    "scaled_autoscale": _scaled(
+        policies=_policies(autoscaler="token_aware"),
+        scale_interval_ms=5_000, start_delay_ms=2_000,
+    ),
 }
 
 PINS = {
@@ -74,6 +94,14 @@ PINS = {
     "monolith_pd": {
         "requests_seed1.csv": "0fa91ba381e1d0180130f54cd4bf61d9c6083b5514ab2db7214a8b40d9c5c3cc",
         "requests_seed2.csv": "08968284134db3af9ce7ddaa9761fcfe2638af1a1ce4c9cb68546a43ef78e764",
+    },
+    "scaled": {
+        "requests_seed1.csv": "97a5df286852423d930fa841a1983a3d90fac60c242589c5d6639e5bfc2ae2dd",
+        "requests_seed2.csv": "7d83bffab35d81148514e0338a7a3c6551a46afa978aaffe32e76ea49631c28a",
+    },
+    "scaled_autoscale": {
+        "requests_seed1.csv": "3a22fc12caf699d5ca1a2f8f53d71008068fc70b3382ab07d681c30c2649a153",
+        "requests_seed2.csv": "f4e0655e346964403aba4439191633166b0a5715081739184aa9d4e979426887",
     },
     "rr_fifo_tcp": {
         "requests_seed1.csv": "295732cd133d7476cbdd72342b122bf4e901e7dd9c8f853afe16cca616c2a225",
