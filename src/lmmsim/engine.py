@@ -19,7 +19,6 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -395,9 +394,10 @@ class Simulation:
         self.instances: dict[int, Instance] = {}
         self._next_instance_id = 0
         self._next_item_seq = 0
-        # Parked routing calls by role, retried in this order when an
-        # instance starts.
-        self.pool_waiting: dict[str, list] = {"image": [], "text": [], "decode": []}
+        # Image-bearing requests that found no active image instance, in
+        # arrival order; routed again when an instance starts. Text-family
+        # pools always keep an active instance, so nothing waits for them.
+        self.image_waiting: list[Request] = []
         self.rr_state: dict[str, int] = {}
         self.requests: dict[int, Request] = {}
         self.shards_pending: dict[int, int] = {}
@@ -551,12 +551,12 @@ class Simulation:
 
     def _deadlock_dump(self) -> str:
         stuck = [r.request_id for r in self.log.records.values() if not r.completed][:10]
-        pools = {p: len(q) for p, q in self.pool_waiting.items() if q}
         insts = {
             i.id: (i.pool, i.state.value, len(i.gpu_queue), len(i.cpu_queue), i.decode.load())
             for i in self.instances.values()
         }
-        return f"deadlock: in-flight={self.log.in_flight} stuck={stuck} waiting={pools} instances={insts}"
+        return (f"deadlock: in-flight={self.log.in_flight} stuck={stuck} "
+                f"image-waiting={len(self.image_waiting)} instances={insts}")
 
     # ------------------------------------------------------------------
     # Arrival and routing
@@ -587,14 +587,12 @@ class Simulation:
         else:
             self._route_to_text_pool(req)
 
-    # Each _route_to_* call that finds no active instance parks itself in
-    # pool_waiting and is retried unchanged by _flush_waiting.
     def _route_to_image_pool(self, req: Request) -> None:
         pool = self._candidates(self.roles.image_entry)
         assignment = pol.route_image(req, pool, self.policies.router,
                                      self.policies.max_fanout, self.rr_state)
         if assignment is None:
-            self.pool_waiting["image"].append(partial(self._route_to_image_pool, req))
+            self.image_waiting.append(req)
             return
         self.shards_pending[req.id] = len(assignment)
         for shard_id, (inst, image_idx) in enumerate(assignment):
@@ -605,9 +603,6 @@ class Simulation:
         pool = self._candidates(self.roles.text)
         inst = pol.route_text(req, pool, self.model.architecture,
                               self.policies.router, self.rr_state)
-        if inst is None:
-            self.pool_waiting["text"].append(partial(self._route_to_text_pool, req))
-            return
         self._reserve(inst, req.id, req.text_tokens, req.total_image_tokens)
         if not req.is_multimodal:
             self._enqueue_prefill(inst, req)
@@ -620,9 +615,6 @@ class Simulation:
 
     def _route_to_decode_pool(self, req: Request, steps: int) -> None:
         target = pol.route_decode(self._candidates(self.roles.decode))
-        if target is None:
-            self.pool_waiting["decode"].append(partial(self._route_to_decode_pool, req, steps))
-            return
         self._reserve(target, req.id, 0, 0)  # the hand-off, until it arrives
         delay = sample_transfer_ms(self.transfer_medium, self.rng)
         self._push(self.now + delay, EV_DECODE_ARRIVAL, (req.id, target.id, steps))
@@ -876,6 +868,7 @@ class Simulation:
         rec.completion_ms = self.now
         if rec.tbt_hist:
             rec.tbt_p99_ms = weighted_quantile(rec.tbt_hist, 0.99)
+            rec.tbt_hist.clear()  # read only here: free it now, not at the end of the run
         ttft_ok = rec.ttft_ms is not None and rec.ttft_ms <= rec.ttft_slo_ms
         tbt_ok = rec.tbt_p99_ms is None or rec.tbt_p99_ms <= rec.tbt_slo_ms
         rec.slo_ok = bool(ttft_ok and tbt_ok)
@@ -893,10 +886,9 @@ class Simulation:
             self._flush_waiting()
 
     def _flush_waiting(self) -> None:
-        for role, waiting in self.pool_waiting.items():
-            self.pool_waiting[role] = []
-            for retry in waiting:
-                retry()
+        waiting, self.image_waiting = self.image_waiting, []
+        for req in waiting:
+            self._route_to_image_pool(req)
 
     def _on_scale_tick(self, _data) -> None:
         interval_s = self.scale_interval_ms / 1000.0
@@ -985,6 +977,9 @@ class Simulation:
         used = sum(v.gpus_total - v.gpus_free for v in views)
         logged = self.log.allocation_log[-1][1]
         assert logged == used, f"allocation log says {logged} GPUs, instances hold {used}"
+        for pool in (self.roles.text, self.roles.decode):
+            # Routing to a text-family pool never waits: each keeps an active instance.
+            assert pool is None or self.load_index[pool].active, f"no active {pool} instance"
         for pool, index in self.load_index.items():
             active = [i for i in self.instances.values()
                       if i.pool == pool and i.state is InstanceState.ACTIVE]

@@ -1,8 +1,9 @@
 """Experiment configs and runners tying workload, cluster, and policies together.
 
 A config JSON is self-contained: rerunning it reproduces byte-identical
-per-seed outputs. Multi-seed runs and sweeps execute in parallel processes;
-each simulation stays single-threaded.
+per-seed outputs. ``validate_config`` resolves a config once into an
+``Experiment``, which the runners ship to their workers. Multi-seed runs and
+sweeps execute in parallel processes; each simulation stays single-threaded.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 
 from .core import ModelSpec, Request, SLOSpec, get_model_spec, load_model_specs
@@ -22,6 +24,8 @@ from .engine import (
     TransferMedium,
 )
 from .metrics import (
+    REL_TOL,
+    WARMUP_FRACTION,
     CapacityResult,
     cost_summary,
     max_throughput,
@@ -33,13 +37,11 @@ from .policies import (
     DEFAULT_MAX_BATCH,
     POOL_ROLES,
     AutoscalerKind,
-    PlacementKind,
     PolicySet,
-    RouterKind,
-    SchedulerKind,
     TokenAwareAutoscaler,
     Topology,
     initial_sizing,
+    is_text_family,
     select_sharding,
 )
 from .profiles import LatencyProfile, calibrate, load_calibration_targets
@@ -83,11 +85,28 @@ def _check_keys(obj, known: set[str], where: str) -> None:
         raise ConfigError(f"{where}{unknown[0]}", f"unknown key (expected one of {sorted(known)})")
 
 
-def _num(value, field: str, kind=float):
-    """``value`` converted by ``kind``, or a ConfigError naming ``field``."""
+def _required(obj: dict, key: str, where: str = ""):
+    if key not in obj:
+        raise ConfigError(f"{where}{key}", "missing")
+    return obj[key]
+
+
+def _section(raw: dict, key: str, required: bool = False) -> dict:
+    """The object at ``key`` ({} when absent), with unknown keys rejected."""
+    s = _required(raw, key) if required else raw.get(key, {})
+    _check_keys(s, _SECTION_KEYS[key], f"{key}.")
+    return s
+
+
+def _value(value, field: str, kind=float):
+    """``value`` converted by ``kind`` (a number type or an Enum), or a
+    ConfigError naming ``field``."""
     try:
         return kind(value)
     except (TypeError, ValueError):
+        if issubclass(kind, Enum):
+            raise ConfigError(field, f"unknown value {value!r} (expected one of "
+                                     f"{[k.value for k in kind]})")
         raise ConfigError(field, f"must be a number, got {value!r}")
 
 
@@ -95,265 +114,75 @@ _RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1)": lambda
 
 
 def _in_range(value, field: str, rule: str) -> float:
-    v = _num(value, field)
+    v = _value(value, field)
     if not _RANGES[rule](v):
         raise ConfigError(field, f"must be {rule}")
     return v
 
 
+def _integer(value, field: str, least: int) -> int:
+    if not isinstance(value, int) or value < least:
+        raise ConfigError(field, f"must be an integer >= {least}")
+    return value
+
+
 def _seed_list(value, field: str) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(field, "must be a non-empty list of integers")
-    return [_num(s, field, int) for s in value]
+    return [_value(s, field, int) for s in value]
 
 
 @dataclass
 class ExperimentConfig:
+    """A config as read: the raw dict and the directory its paths are relative to."""
+
     raw: dict
     base_dir: Path
 
-    # ------------------------------------------------------------------
-    def _get(self, key: str, default=None, required: bool = False):
-        if required and key not in self.raw:
-            raise ConfigError(key, "missing")
-        return self.raw.get(key, default)
 
-    def _section(self, key: str, required: bool = False) -> dict:
-        """The object at ``key`` ({} when absent), with unknown keys rejected."""
-        s = self._get(key, {}, required)
-        _check_keys(s, _SECTION_KEYS[key], f"{key}.")
-        return s
+@dataclass(frozen=True)
+class Experiment:
+    """A config resolved once by ``validate_config``: every value a run needs, checked.
 
-    @property
-    def seeds(self) -> list[int]:
-        return _seed_list(self._get("seeds", [1]), "seeds")
+    A value the config leaves out takes the default of the code that uses
+    it, so ``engine_options`` holds only the ``Simulation`` keywords the
+    config sets.
+    """
 
-    @property
-    def horizon_ms(self) -> float:
-        return _in_range(self._get("horizon_ms", required=True), "horizon_ms", "> 0")
+    model: ModelSpec
+    profile: LatencyProfile
+    slo: SLOSpec
+    policies: PolicySet
+    servers: list[ServerSpec]
+    engine_options: dict
+    seeds: list[int]
+    horizon_ms: float
+    warmup_fraction: float
+    rate_multiplier: float
+    capacity: tuple[float, float, float, float, list[int]]  # (lo, hi, rel_tol, horizon_ms, seeds)
+    source: Path | GeneratorConfig  # a trace file, or the generator before its per-seed offset
+    instance_plan: list[InstancePlan] | None  # None for "auto": sized per seed
 
-    @property
-    def warmup_fraction(self) -> float:
-        return _in_range(self._get("warmup_fraction", 0.1), "warmup_fraction", "in [0, 1)")
+    def workload(self, seed: int, rate_multiplier: float, horizon_ms: float) -> list[Request]:
+        if isinstance(self.source, GeneratorConfig):
+            gen = self.source
+            return generate(replace(gen, seed=gen.seed + seed,
+                                    base_rate=gen.base_rate * rate_multiplier), horizon_ms)
+        requests = load_trace(self.source, self.model).requests
+        if rate_multiplier != 1.0:
+            requests = [replace(r, arrival_ms=r.arrival_ms / rate_multiplier) for r in requests]
+        return [r for r in requests if r.arrival_ms <= horizon_ms]
 
-    @property
-    def scale_interval_ms(self) -> float:
-        return _in_range(self._get("scale_interval_ms", 300_000.0), "scale_interval_ms", "> 0")
-
-    @property
-    def start_delay_ms(self) -> float:
-        return _in_range(self._get("start_delay_ms", 60_000.0), "start_delay_ms", ">= 0")
-
-    @property
-    def topology(self) -> Topology:
-        t = self._get("topology", required=True)
-        try:
-            return Topology(t)
-        except ValueError:
-            raise ConfigError("topology", f"unknown value {t!r}")
-
-    @property
-    def transfer_medium(self) -> TransferMedium:
-        medium = self._section("transfer").get("medium", "rdma")
-        try:
-            return TransferMedium(medium)
-        except ValueError:
-            raise ConfigError("transfer.medium", f"unknown value {medium!r}")
-
-    @property
-    def rate_multiplier(self) -> float:
-        return _in_range(self._get("rate_multiplier", 1.0), "rate_multiplier", "> 0")
-
-    def policies(self) -> PolicySet:
-        p = self._section("policies")
-        try:
-            policies = PolicySet(
-                router=RouterKind(p.get("router", "least_pending")),
-                scheduler=SchedulerKind(p.get("scheduler", "slo_priority")),
-                autoscaler=AutoscalerKind(p.get("autoscaler", "none")),
-                placement=PlacementKind(p.get("placement", "colocate")),
-                topology=self.topology,
-                max_fanout=int(p.get("max_fanout", 8)),
-                aging_slo_fraction=float(p.get("aging_slo_fraction", 0.5)),
-                attainment_threshold=float(p.get("attainment_threshold", 0.99)),
-                shrink_utilization=float(p.get("shrink_utilization", 0.7)),
-                shrink_windows=int(p.get("shrink_windows", 2)),
-                capacity_tail_factor=float(p.get("capacity_tail_factor", 1.0)),
-            )
-        except ValueError as e:
-            raise ConfigError("policies", str(e))
-        if policies.max_fanout < 1:
-            raise ConfigError("policies.max_fanout", "must be >= 1")
-        return policies
-
-    def model(self) -> ModelSpec:
-        m = self._get("model", required=True)
-        if isinstance(m, dict):
-            path = self.base_dir / m.get("spec_path", "")
-            if not path.exists():
-                raise ConfigError("model.spec_path", f"file not found: {path}")
-            specs = load_model_specs(path)
-            name = m.get("name")
-            if name is None or name not in specs:
-                raise ConfigError("model.name", f"not in {sorted(specs)}")
-            return specs[name]
-        try:
-            return get_model_spec(m)
-        except Exception as e:
-            raise ConfigError("model", str(e))
-
-    def profile(self, model: ModelSpec) -> LatencyProfile:
-        p = self._get("profile", "auto")
-        if p == "auto":
-            return calibrate(load_calibration_targets(model.name), model)
-        path = self.base_dir / p
-        if not path.exists():
-            raise ConfigError("profile", f"file not found: {path}")
-        return LatencyProfile.load(path, model)
-
-    def slo(self, profile: LatencyProfile) -> SLOSpec:
-        s = self._section("slo")
-        # Every tail (TTFT/TBT P99, capacity probes, windowed P99) is the 99th
-        # percentile; the field is accepted only with that value.
-        if s.get("percentile", 0.99) != 0.99:
-            raise ConfigError("slo.percentile", "only 0.99 is supported")
-        factor = _num(s.get("slo_factor", 5.0), "slo.slo_factor")
-        ref_text = _num(s.get("ref_text_tokens", 2048), "slo.ref_text_tokens", int)
-        return SLOSpec(
-            ttft_base_text_ms=_num(
-                s.get("ttft_base_text_ms") or profile.ttft_base_text_ms(ref_text),
-                "slo.ttft_base_text_ms",
-            ),
-            ttft_base_image_ms=_num(
-                s.get("ttft_base_image_ms") or profile.ttft_base_image_ms(),
-                "slo.ttft_base_image_ms",
-            ),
-            tbt_base_ms=_num(s.get("tbt_base_ms") or profile.tbt_base(), "slo.tbt_base_ms"),
-            slo_factor=factor,
-        )
-
-    def servers(self) -> list[ServerSpec]:
-        c = self._section("cluster", required=True)
-        try:
-            n = int(c["servers"])
-            gpus = int(c["gpus_per_server"])
-            cores = int(c.get("cpu_cores_per_server", 2 * gpus))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError("cluster", f"needs servers/gpus_per_server: {e}")
-        if n < 1 or gpus < 1:
-            raise ConfigError("cluster", "servers and gpus_per_server must be >= 1")
-        return [ServerSpec(i, gpus, cores) for i in range(n)]
-
-    def max_batch(self) -> dict:
-        """The engine's per-stage batch caps: the defaults, overridden by the config."""
-        caps = dict(self._get("max_batch", {}))
-        for stage, cap in caps.items():
-            if stage not in DEFAULT_MAX_BATCH:
-                raise ConfigError(f"max_batch.{stage}",
-                                  f"unknown stage (expected one of {sorted(DEFAULT_MAX_BATCH)})")
-            if not isinstance(cap, int) or cap < 1:
-                raise ConfigError(f"max_batch.{stage}", "must be an integer >= 1")
-        return {**DEFAULT_MAX_BATCH, **caps}
-
-    def capacity(self) -> tuple[float, float, float, float, list[int]]:
-        """The capacity search's (lo, hi, rel_tol, horizon_ms, seeds)."""
-        cap = self._section("capacity")
-        lo = _in_range(cap.get("lo_multiplier", 0.25), "capacity.lo_multiplier", "> 0")
-        hi = _in_range(cap.get("hi_multiplier", 2.0), "capacity.hi_multiplier", "> 0")
-        if lo >= hi:
-            raise ConfigError("capacity.hi_multiplier", f"must be > capacity.lo_multiplier ({lo})")
-        return (
-            lo,
-            hi,
-            _in_range(cap.get("rel_tol", 0.02), "capacity.rel_tol", "> 0"),
-            _in_range(cap.get("horizon_ms", self.horizon_ms), "capacity.horizon_ms", "> 0"),
-            _seed_list(cap.get("seeds", self.seeds), "capacity.seeds"),
-        )
-
-    def workload(self, model: ModelSpec, seed: int, rate_multiplier: float,
-                 horizon_ms: float) -> list[Request]:
-        w = self._get("workload", required=True)
-        if "trace" in w:
-            path = self.base_dir / w["trace"]
-            if not path.exists():
-                raise ConfigError("workload.trace", f"file not found: {path}")
-            result = load_trace(path, model)
-            requests = result.requests
-            if rate_multiplier != 1.0:
-                requests = [
-                    Request(
-                        id=r.id,
-                        arrival_ms=r.arrival_ms / rate_multiplier,
-                        text_tokens=r.text_tokens,
-                        images=r.images,
-                        output_tokens=r.output_tokens,
-                        service_id=r.service_id,
-                    )
-                    for r in requests
-                ]
-            return [r for r in requests if r.arrival_ms <= horizon_ms]
-        if "generator" in w:
-            gen = self.generator(model, seed)
-            gen.base_rate *= rate_multiplier
-            return generate(gen, horizon_ms)
-        raise ConfigError("workload", "needs either 'trace' or 'generator'")
-
-    def generator(self, model: ModelSpec, seed: int) -> GeneratorConfig:
-        g = self._get("workload", required=True).get("generator", {})
-        _check_keys(g, _GENERATOR_KEYS, "workload.generator.")
-        episodes = []
-        for i, e in enumerate(g.get("burst_episodes", [])):
-            where = f"workload.generator.burst_episodes[{i}]"
-            _check_keys(e, _EPISODE_KEYS, f"{where}.")
-            if "start_ms" not in e or "duration_ms" not in e:
-                raise ConfigError(where, "needs start_ms and duration_ms")
-            episodes.append(BurstEpisode(**{k: _num(v, f"{where}.{k}") for k, v in e.items()}))
-        kwargs = {k: v for k, v in g.items()
-                  if k not in ("burst_episodes", "images_per_request", "seed")}
-        if "images_per_request" in g:
-            kwargs["images_per_request"] = {int(k): float(v) for k, v in g["images_per_request"].items()}
-        base_seed = int(g.get("seed", 0))
-        try:
-            cfg = GeneratorConfig(model=model, seed=base_seed + seed,
-                                  burst_episodes=tuple(episodes), **kwargs)
-            cfg.validate()
-        except (TypeError, ValueError) as e:
-            raise ConfigError("workload.generator", str(e))
-        return cfg
-
-    def instance_plan(self, model: ModelSpec, profile: LatencyProfile, slo: SLOSpec,
-                      seed: int) -> list[InstancePlan]:
-        inst = self._get("instances", required=True)
-        topo_pools = POOL_ROLES[self.topology].pools
-        if inst == "auto":
-            if self.topology is not Topology.DECOUPLED:
-                raise ConfigError("instances", "auto sizing supports the decoupled topology only")
-            image_tp, _ = select_sharding("image", model, profile, slo)
-            text_tp, _ = select_sharding("text", model, profile, slo)
-            workload = self.workload(model, seed, self.rate_multiplier, self.horizon_ms)
-            decision = initial_sizing(summarize(workload), profile, slo, image_tp, text_tp)
-            return [
-                InstancePlan("image", decision.tp["image"], decision.targets["image"]),
-                InstancePlan("text", decision.tp["text"], decision.targets["text"]),
-            ]
-        if not isinstance(inst, dict):
-            raise ConfigError("instances", "must be 'auto' or a pool mapping")
-        plan = []
-        for pool, entry in inst.items():
-            if pool not in topo_pools:
-                raise ConfigError(
-                    "instances", f"pool '{pool}' invalid for topology {self.topology.value} "
-                    f"(expected {sorted(topo_pools)})"
-                )
-            _check_keys(entry, _INSTANCE_KEYS, f"instances.{pool}.")
-            try:
-                plan.append(InstancePlan(pool, int(entry["tp"]), int(entry["count"])))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ConfigError(f"instances.{pool}", f"needs count/tp: {e}")
-        missing = topo_pools - {p.pool for p in plan}
-        if missing:
-            raise ConfigError("instances", f"missing pools for topology: {sorted(missing)}")
-        return plan
+    def instances(self, seed: int) -> list[InstancePlan]:
+        """The initial pools; "auto" sizes them from this seed's workload."""
+        if self.instance_plan is not None:
+            return self.instance_plan
+        image_tp, _ = select_sharding("image", self.model, self.profile, self.slo)
+        text_tp, _ = select_sharding("text", self.model, self.profile, self.slo)
+        workload = self.workload(seed, self.rate_multiplier, self.horizon_ms)
+        decision = initial_sizing(summarize(workload), self.profile, self.slo, image_tp, text_tp)
+        return [InstancePlan(pool, decision.tp[pool], decision.targets[pool])
+                for pool in ("image", "text")]
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -373,75 +202,226 @@ def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     return ExperimentConfig(raw=raw, base_dir=Path(base_dir))
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Eagerly resolve every section so errors surface before any run."""
-    _check_keys(cfg.raw, _TOP_LEVEL_KEYS, "")
-    model = cfg.model()
-    profile = cfg.profile(model)
-    slo = cfg.slo(profile)
-    cfg.policies()
-    cfg.servers()
-    cfg.seeds
-    cfg.horizon_ms
-    cfg.transfer_medium
-    cfg.warmup_fraction
-    cfg.rate_multiplier
-    cfg.scale_interval_ms
-    cfg.start_delay_ms
-    cfg.capacity()
-    cfg.max_batch()
-    w = cfg._get("workload", required=True)
+def validate_config(cfg: ExperimentConfig) -> Experiment:
+    """Resolve and check every value of a config, so errors surface before any run.
+
+    Reads no trace and generates no workload.
+    """
+    raw, base_dir = cfg.raw, cfg.base_dir
+    _check_keys(raw, _TOP_LEVEL_KEYS, "")
+    topology = _value(_required(raw, "topology"), "topology", Topology)
+    model = _model(_required(raw, "model"), base_dir)
+    profile = _profile(raw.get("profile", "auto"), model, base_dir)
+    seeds = _seed_list(raw.get("seeds", [1]), "seeds")
+    horizon_ms = _in_range(_required(raw, "horizon_ms"), "horizon_ms", "> 0")
+    return Experiment(
+        model=model,
+        profile=profile,
+        slo=_slo(_section(raw, "slo"), profile),
+        policies=_policies(_section(raw, "policies"), topology),
+        servers=_servers(_section(raw, "cluster", required=True)),
+        engine_options=_engine_options(raw),
+        seeds=seeds,
+        horizon_ms=horizon_ms,
+        warmup_fraction=_in_range(raw.get("warmup_fraction", WARMUP_FRACTION),
+                                  "warmup_fraction", "in [0, 1)"),
+        rate_multiplier=_in_range(raw.get("rate_multiplier", 1.0), "rate_multiplier", "> 0"),
+        capacity=_capacity(_section(raw, "capacity"), horizon_ms, seeds),
+        source=_source(_required(raw, "workload"), model, base_dir),
+        instance_plan=_instance_plan(_required(raw, "instances"), topology),
+    )
+
+
+def _model(m, base_dir: Path) -> ModelSpec:
+    if isinstance(m, dict):
+        path = base_dir / m.get("spec_path", "")
+        if not path.exists():
+            raise ConfigError("model.spec_path", f"file not found: {path}")
+        specs = load_model_specs(path)
+        name = m.get("name")
+        if name is None or name not in specs:
+            raise ConfigError("model.name", f"not in {sorted(specs)}")
+        return specs[name]
+    try:
+        return get_model_spec(m)
+    except Exception as e:
+        raise ConfigError("model", str(e))
+
+
+def _profile(p, model: ModelSpec, base_dir: Path) -> LatencyProfile:
+    if p == "auto":
+        return calibrate(load_calibration_targets(model.name), model)
+    path = base_dir / p
+    if not path.exists():
+        raise ConfigError("profile", f"file not found: {path}")
+    return LatencyProfile.load(path, model)
+
+
+def _slo(s: dict, profile: LatencyProfile) -> SLOSpec:
+    # Every tail (TTFT/TBT P99, capacity probes, windowed P99) is the 99th
+    # percentile; the field is accepted only with that value.
+    if s.get("percentile", 0.99) != 0.99:
+        raise ConfigError("slo.percentile", "only 0.99 is supported")
+    ref_text = _integer(s.get("ref_text_tokens", 2048), "slo.ref_text_tokens", 1)
+    derived = {
+        "ttft_base_text_ms": profile.ttft_base_text_ms(ref_text),
+        "ttft_base_image_ms": profile.ttft_base_image_ms(),
+        "tbt_base_ms": profile.tbt_base(),
+    }
+    return SLOSpec(
+        **{key: _in_range(s.get(key, base), f"slo.{key}", "> 0") for key, base in derived.items()},
+        slo_factor=_in_range(s.get("slo_factor", 5.0), "slo.slo_factor", "> 0"),
+    )
+
+
+def _policies(p: dict, topology: Topology) -> PolicySet:
+    """PolicySet's defaults, overridden by the config's values converted to
+    each field's type."""
+    kinds = {f.name: type(f.default) for f in fields(PolicySet)}
+    policies = PolicySet(topology=topology,
+                         **{k: _value(v, f"policies.{k}", kinds[k]) for k, v in p.items()})
+    if policies.max_fanout < 1:
+        raise ConfigError("policies.max_fanout", "must be >= 1")
+    return policies
+
+
+def _servers(c: dict) -> list[ServerSpec]:
+    n = _integer(_required(c, "servers", "cluster."), "cluster.servers", 1)
+    gpus = _integer(_required(c, "gpus_per_server", "cluster."), "cluster.gpus_per_server", 1)
+    cores = _integer(c.get("cpu_cores_per_server", 2 * gpus), "cluster.cpu_cores_per_server", 1)
+    return [ServerSpec(i, gpus, cores) for i in range(n)]
+
+
+def _engine_options(raw: dict) -> dict:
+    """The ``Simulation`` keywords the config sets; the engine's defaults fill the rest."""
+    options = {}
+    for key, rule in (("scale_interval_ms", "> 0"), ("start_delay_ms", ">= 0")):
+        if key in raw:
+            options[key] = _in_range(raw[key], key, rule)
+    transfer = _section(raw, "transfer")
+    if "medium" in transfer:
+        options["transfer_medium"] = _value(transfer["medium"], "transfer.medium", TransferMedium)
+    if "max_batch" in raw:
+        caps = raw["max_batch"]
+        _check_keys(caps, set(DEFAULT_MAX_BATCH), "max_batch.")
+        options["max_batch"] = {stage: _integer(cap, f"max_batch.{stage}", 1)
+                                for stage, cap in caps.items()}
+    return options
+
+
+def _capacity(cap: dict, horizon_ms: float, seeds: list[int]) -> tuple:
+    """The capacity search's (lo, hi, rel_tol, horizon_ms, seeds)."""
+    lo = _in_range(cap.get("lo_multiplier", 0.25), "capacity.lo_multiplier", "> 0")
+    hi = _in_range(cap.get("hi_multiplier", 2.0), "capacity.hi_multiplier", "> 0")
+    if lo >= hi:
+        raise ConfigError("capacity.hi_multiplier", f"must be > capacity.lo_multiplier ({lo})")
+    return (
+        lo,
+        hi,
+        _in_range(cap.get("rel_tol", REL_TOL), "capacity.rel_tol", "> 0"),
+        _in_range(cap.get("horizon_ms", horizon_ms), "capacity.horizon_ms", "> 0"),
+        _seed_list(cap.get("seeds", seeds), "capacity.seeds"),
+    )
+
+
+def _source(w, model: ModelSpec, base_dir: Path) -> Path | GeneratorConfig:
+    _check_keys(w, {"trace", "generator"}, "workload.")
     if "trace" in w:
-        path = cfg.base_dir / w["trace"]
+        path = base_dir / w["trace"]
         if not path.exists():
             raise ConfigError("workload.trace", f"file not found: {path}")
-    elif "generator" in w:
-        cfg.generator(model, 0)
-    else:
-        raise ConfigError("workload", "needs either 'trace' or 'generator'")
-    cfg.instance_plan(model, profile, slo, cfg.seeds[0])
+        return path
+    if "generator" in w:
+        return _generator(w["generator"], model)
+    raise ConfigError("workload", "needs either 'trace' or 'generator'")
+
+
+def _generator(g, model: ModelSpec) -> GeneratorConfig:
+    _check_keys(g, _GENERATOR_KEYS, "workload.generator.")
+    episodes = []
+    for i, e in enumerate(g.get("burst_episodes", [])):
+        where = f"workload.generator.burst_episodes[{i}]"
+        _check_keys(e, _EPISODE_KEYS, f"{where}.")
+        if "start_ms" not in e or "duration_ms" not in e:
+            raise ConfigError(where, "needs start_ms and duration_ms")
+        episodes.append(BurstEpisode(**{k: _value(v, f"{where}.{k}") for k, v in e.items()}))
+    kwargs = {k: v for k, v in g.items() if k not in ("burst_episodes", "images_per_request")}
+    if "seed" in g:
+        kwargs["seed"] = _value(g["seed"], "workload.generator.seed", int)
+    if "images_per_request" in g:
+        where = "workload.generator.images_per_request"
+        shares = g["images_per_request"]
+        if not isinstance(shares, dict):
+            raise ConfigError(where, "must be an object")
+        kwargs["images_per_request"] = {_value(k, f"{where}.{k}", int): _value(v, f"{where}.{k}")
+                                        for k, v in shares.items()}
+    try:
+        cfg = GeneratorConfig(model=model, burst_episodes=tuple(episodes), **kwargs)
+        cfg.validate()
+    except (TypeError, ValueError) as e:
+        raise ConfigError("workload.generator", str(e))
+    return cfg
+
+
+def _instance_plan(inst, topology: Topology) -> list[InstancePlan] | None:
+    """The configured pools, or None for "auto" (see ``Experiment.instances``)."""
+    if inst == "auto":
+        if topology is not Topology.DECOUPLED:
+            raise ConfigError("instances", "auto sizing supports the decoupled topology only")
+        return None
+    if not isinstance(inst, dict):
+        raise ConfigError("instances", "must be 'auto' or a pool mapping")
+    topo_pools = POOL_ROLES[topology].pools
+    plan = []
+    for pool, entry in inst.items():
+        if pool not in topo_pools:
+            raise ConfigError(
+                "instances", f"pool '{pool}' invalid for topology {topology.value} "
+                f"(expected {sorted(topo_pools)})"
+            )
+        where = f"instances.{pool}."
+        _check_keys(entry, _INSTANCE_KEYS, where)
+        # Every request passes through the pools that run LLM work, so each
+        # needs an instance; the image pool may start empty.
+        least = 1 if is_text_family(pool) else 0
+        plan.append(InstancePlan(pool, _integer(_required(entry, "tp", where), f"{where}tp", 1),
+                                 _integer(_required(entry, "count", where), f"{where}count", least)))
+    missing = topo_pools - {p.pool for p in plan}
+    if missing:
+        raise ConfigError("instances", f"missing pools for topology: {sorted(missing)}")
+    return plan
 
 
 # ----------------------------------------------------------------------
 # Running
 # ----------------------------------------------------------------------
-def build_simulation(cfg: ExperimentConfig, seed: int, rate_multiplier: float | None = None,
+def build_simulation(exp: Experiment, seed: int, rate_multiplier: float | None = None,
                      horizon_ms: float | None = None, validate: bool = False) -> Simulation:
-    model = cfg.model()
-    profile = cfg.profile(model)
-    slo = cfg.slo(profile)
-    policies = cfg.policies()
-    servers = cfg.servers()
-    horizon = horizon_ms if horizon_ms is not None else cfg.horizon_ms
-    mult = rate_multiplier if rate_multiplier is not None else cfg.rate_multiplier
-    workload = cfg.workload(model, seed, mult, horizon)
-    plan = cfg.instance_plan(model, profile, slo, seed)
-    max_batch = cfg.max_batch()
-    autoscaler = None
-    if policies.autoscaler is AutoscalerKind.TOKEN_AWARE:
-        budget = sum(s.gpus for s in servers)
-        autoscaler = TokenAwareAutoscaler(profile, slo, policies, cfg.topology, budget, max_batch)
-    return Simulation(
-        model=model,
-        profile=profile,
-        slo=slo,
-        policies=policies,
-        servers=servers,
-        instance_plan=plan,
-        workload=workload,
+    horizon = horizon_ms if horizon_ms is not None else exp.horizon_ms
+    mult = rate_multiplier if rate_multiplier is not None else exp.rate_multiplier
+    sim = Simulation(
+        model=exp.model,
+        profile=exp.profile,
+        slo=exp.slo,
+        policies=exp.policies,
+        servers=exp.servers,
+        instance_plan=exp.instances(seed),
+        workload=exp.workload(seed, mult, horizon),
         horizon_ms=horizon,
         seed=seed,
-        transfer_medium=cfg.transfer_medium,
-        max_batch=max_batch,
-        autoscaler=autoscaler,
-        scale_interval_ms=cfg.scale_interval_ms,
-        start_delay_ms=cfg.start_delay_ms,
         validate=validate,
+        **exp.engine_options,
     )
+    if exp.policies.autoscaler is AutoscalerKind.TOKEN_AWARE:
+        # Priced for the batches the engine forms: its caps, merged with the config's.
+        budget = sum(s.gpus for s in exp.servers)
+        sim.autoscaler = TokenAwareAutoscaler(exp.profile, exp.slo, exp.policies,
+                                              exp.policies.topology, budget, sim.max_batch)
+    return sim
 
 
-def seed_summary(cfg: ExperimentConfig, log: MetricsLog) -> dict:
-    latency = summarize_latency(log, cfg.warmup_fraction)
+def seed_summary(exp: Experiment, log: MetricsLog) -> dict:
+    latency = summarize_latency(log, exp.warmup_fraction)
     cost = cost_summary(log)
     return {
         "seed": log.seed,
@@ -449,18 +429,15 @@ def seed_summary(cfg: ExperimentConfig, log: MetricsLog) -> dict:
         "completed": log.completed,
         "in_flight": log.in_flight,
         "latency": latency.to_dict(),
-        "attainment": overall_attainment(log, cfg.warmup_fraction),
+        "attainment": overall_attainment(log, exp.warmup_fraction),
         "gpu_seconds": cost.gpu_seconds,
         "peak_gpus": cost.peak_gpus,
     }
 
 
-def _simulate_worker(raw: dict, base_dir: str, seed: int, out_dir: str | None,
-                     rate_multiplier: float | None, horizon_ms: float | None) -> dict:
-    cfg = config_from_dict(raw, base_dir)
-    sim = build_simulation(cfg, seed, rate_multiplier, horizon_ms)
-    log = sim.run()
-    summary = seed_summary(cfg, log)
+def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
+    log = build_simulation(exp, seed).run()
+    summary = seed_summary(exp, log)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -494,17 +471,21 @@ def _pool_size() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
+def _map(fn, jobs: list[tuple], parallel: bool = True) -> list:
+    """``fn(*job)`` for each job, in a process pool when there is more than one."""
+    if parallel and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=_pool_size()) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    seeds: list[int] | None = None, parallel: bool = True) -> dict:
     """Run all seeds, write per-seed artifacts, and aggregate a summary."""
-    seeds = seeds if seeds is not None else cfg.seeds
+    exp = validate_config(cfg)
+    seeds = seeds if seeds is not None else exp.seeds
     out = str(out_dir) if out_dir is not None else None
-    jobs = [(cfg.raw, str(cfg.base_dir), s, out, None, None) for s in seeds]
-    if parallel and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=_pool_size()) as pool:
-            results = list(pool.map(_simulate_worker, *zip(*jobs)))
-    else:
-        results = [_simulate_worker(*j) for j in jobs]
+    results = _map(_simulate_worker, [(exp, s, out) for s in seeds], parallel)
     by_seed = {r["seed"]: r for r in results}
     agg = aggregate_summaries(list(by_seed.values()))
     summary = {"config": cfg.raw, "seeds": by_seed, "aggregate": agg}
@@ -544,39 +525,34 @@ def aggregate_summaries(results: list[dict]) -> dict:
 # ----------------------------------------------------------------------
 # Capacity search
 # ----------------------------------------------------------------------
-def _capacity_probe_worker(raw: dict, base_dir: str, seed: int, rate: float,
-                           horizon_ms: float) -> dict:
-    cfg = config_from_dict(raw, base_dir)
-    sim = build_simulation(cfg, seed, rate_multiplier=rate, horizon_ms=horizon_ms)
-    log = sim.run()
-    latency = summarize_latency(log, cfg.warmup_fraction)
+def _capacity_probe_worker(exp: Experiment, seed: int, rate: float, horizon_ms: float) -> dict:
+    log = build_simulation(exp, seed, rate_multiplier=rate, horizon_ms=horizon_ms).run()
+    latency = summarize_latency(log, exp.warmup_fraction)
     checks = {}
     for group, multimodal in (("text-only", False), ("image-text", True)):
         stats = latency.ttft[group]
         if stats.count:
-            checks[f"ttft_{group}"] = (stats.p99, sim.slo.ttft_slo_ms(multimodal))
+            checks[f"ttft_{group}"] = (stats.p99, exp.slo.ttft_slo_ms(multimodal))
     tbt = latency.tbt["overall"]
     if tbt.count:
-        checks["tbt"] = (tbt.p99, sim.slo.tbt_slo_ms)
+        checks["tbt"] = (tbt.p99, exp.slo.tbt_slo_ms)
     ok = all(v <= limit for v, limit in checks.values()) and latency.ttft["overall"].count > 0
     return {"seed": seed, "ok": ok, "checks": checks}
 
 
 def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
-    """Largest request rate (req/s) meeting tail SLOs, via bisection."""
-    lo, hi, rel_tol, horizon, seeds = cfg.capacity()
-    if len(seeds) < 3:
-        seeds = (seeds * 3)[:3]
-    base_rate = _offered_rate(cfg)
+    """Largest request rate (req/s) meeting tail SLOs, via bisection.
+
+    Each probe simulates each capacity seed once; runs are deterministic,
+    so a repeated seed would add nothing.
+    """
+    exp = validate_config(cfg)
+    lo, hi, rel_tol, horizon, seeds = exp.capacity
+    base_rate = _offered_rate(exp)
 
     def probe(multiplier: float) -> bool:
-        jobs = [(cfg.raw, str(cfg.base_dir), s, multiplier, horizon) for s in seeds]
-        if len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=_pool_size()) as pool:
-                results = list(pool.map(_capacity_probe_worker, *zip(*jobs)))
-        else:
-            results = [_capacity_probe_worker(*j) for j in jobs]
-        return all(r["ok"] for r in results)
+        jobs = [(exp, s, multiplier, horizon) for s in seeds]
+        return all(r["ok"] for r in _map(_capacity_probe_worker, jobs))
 
     result = max_throughput(probe, lo, hi, rel_tol=rel_tol)
     return CapacityResult(
@@ -586,17 +562,15 @@ def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
     )
 
 
-def _offered_rate(cfg: ExperimentConfig) -> float:
+def _offered_rate(exp: Experiment) -> float:
     """Baseline request rate of the configured workload, req/s."""
-    w = cfg.raw["workload"]
-    if "generator" in w:
-        return float(w["generator"].get("base_rate", 5.0))
-    model = cfg.model()
-    result = load_trace(cfg.base_dir / w["trace"], model)
-    if not result.requests:
+    if isinstance(exp.source, GeneratorConfig):
+        return exp.source.base_rate
+    requests = load_trace(exp.source, exp.model).requests
+    if not requests:
         return 0.0
-    span = max(r.arrival_ms for r in result.requests) / 1000.0
-    return len(result.requests) / max(span, 1e-9)
+    span = max(r.arrival_ms for r in requests) / 1000.0
+    return len(requests) / max(span, 1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -638,9 +612,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list[str],
     rows = []
     for value in values:
         raw = _apply_axis(cfg.raw, axis, value)
-        sub = config_from_dict(raw, cfg.base_dir)
-        validate_config(sub)
-        summary = run_experiment(sub, out_dir=None)
+        summary = run_experiment(config_from_dict(raw, cfg.base_dir), out_dir=None)
         agg = summary["aggregate"]
         rows.append({"axis": axis, "value": value, **agg})
     if out_dir is not None:

@@ -8,6 +8,11 @@ from dataclasses import dataclass, field
 
 from .engine import MetricsLog, RequestRecord
 
+# The share of the horizon whose arrivals latency and attainment figures
+# leave out, and the capacity search's relative tolerance, unless given.
+WARMUP_FRACTION = 0.1
+REL_TOL = 0.02
+
 
 def quantile(values, q: float) -> float:
     """Nearest-rank (lower) quantile; documented so results match across tools."""
@@ -69,7 +74,7 @@ def _post_warmup(log: MetricsLog, warmup_fraction: float) -> tuple[list[RequestR
     return kept, len(done) - len(kept)
 
 
-def summarize_latency(log: MetricsLog, warmup_fraction: float = 0.1) -> LatencySummary:
+def summarize_latency(log: MetricsLog, warmup_fraction: float = WARMUP_FRACTION) -> LatencySummary:
     """Exact percentiles over completed requests, split by modality.
 
     Requests arriving during the warm-up portion of the horizon are excluded;
@@ -139,7 +144,7 @@ def slo_attainment(log: MetricsLog, window_ms: float) -> list[AttainmentWindow]:
     return out
 
 
-def overall_attainment(log: MetricsLog, warmup_fraction: float = 0.1) -> float:
+def overall_attainment(log: MetricsLog, warmup_fraction: float = WARMUP_FRACTION) -> float:
     kept, _ = _post_warmup(log, warmup_fraction)
     if not kept:
         return 1.0
@@ -187,7 +192,7 @@ def max_throughput(
     probe,
     lo: float,
     hi: float,
-    rel_tol: float = 0.02,
+    rel_tol: float = REL_TOL,
     max_doublings: int = 8,
 ) -> CapacityResult:
     """Bisection for the largest rate whose probe passes.

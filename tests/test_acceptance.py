@@ -14,7 +14,7 @@ import pytest
 from conftest import MODELS, PROFILES, make_request, make_slo
 from lmmsim.core import ImageSpec, Request, SLOSpec, StageKind, get_model_spec
 from lmmsim.engine import InstancePlan, ServerSpec, Simulation, TransferMedium
-from lmmsim.experiment import config_from_dict, build_simulation, run_capacity
+from lmmsim.experiment import build_simulation, config_from_dict, run_capacity, validate_config
 from lmmsim.metrics import overall_attainment, cost_summary, quantile, summarize_latency
 from lmmsim.policies import (
     LoadWindow,
@@ -95,8 +95,8 @@ def experiment(model, topology, instances, policies, rate, max_batch, seed,
         "horizon_ms": horizon_ms,
         "seeds": [seed],
     }
-    cfg = config_from_dict(raw, ".")
-    return cfg, build_simulation(cfg, seed)
+    exp = validate_config(config_from_dict(raw, "."))
+    return exp, build_simulation(exp, seed)
 
 
 def mean_and_p99(model, topology, instances, policies, rate, max_batch, slo_factor,
@@ -358,8 +358,7 @@ def _autoscale_run(model, topology, trace, slo_factor, init):
         "horizon_ms": DAY_MS, "seeds": [1],
         "scale_interval_ms": 300_000, "start_delay_ms": 60_000,
     }
-    cfg = config_from_dict(raw, ".")
-    log = build_simulation(cfg, 1).run()
+    log = build_simulation(validate_config(config_from_dict(raw, ".")), 1).run()
     return overall_attainment(log, 0.05), cost_summary(log).gpu_seconds
 
 

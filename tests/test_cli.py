@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from lmmsim.cli import main
+from lmmsim.engine import Simulation
+from lmmsim.experiment import config_from_dict, run_capacity
 
 BASE_CONFIG = {
     "model": "internvl-26b",
@@ -98,6 +100,25 @@ class TestSimulate:
         ({"instances": {"text": {"cnt": 1, "tp": 4}, "image": {"count": 4, "tp": 1}}},
          "instances.text.cnt"),
         ({"workload": {"generator": "x"}}, "workload.generator"),
+        ({"workload": {"generator": {"base_rate": 2.0}, "trace_path": "t.csv"}}, "workload.trace_path"),
+        ({"workload": {"generator": {"base_rate": 2.0, "images_per_request": {"a": 1}}}},
+         "workload.generator.images_per_request.a"),
+        ({"workload": {"generator": {"base_rate": 2.0, "images_per_request": {"1": "x"}}}},
+         "workload.generator.images_per_request.1"),
+        ({"policies": {"aging_slo_fraction": None}}, "policies.aging_slo_fraction"),
+        ({"policies": {"router": "x"}}, "policies.router"),
+        ({"slo": {"slo_factor": -1}}, "slo.slo_factor"),
+        ({"slo": {"slo_factor": 5.0, "ttft_base_text_ms": -5}}, "slo.ttft_base_text_ms"),
+        ({"slo": {"slo_factor": 5.0, "tbt_base_ms": 0}}, "slo.tbt_base_ms"),
+        ({"slo": {"slo_factor": 5.0, "ref_text_tokens": -100}}, "slo.ref_text_tokens"),
+        ({"instances": {"text": {"count": 1, "tp": 0}, "image": {"count": 4, "tp": 1}}},
+         "instances.text.tp"),
+        ({"instances": {"text": {"count": -1, "tp": 4}, "image": {"count": 4, "tp": 1}}},
+         "instances.text.count"),
+        ({"instances": {"text": {"count": 0, "tp": 4}, "image": {"count": 4, "tp": 1}}},
+         "instances.text.count"),
+        ({"cluster": {"servers": 1, "gpus_per_server": 8, "cpu_cores_per_server": 0}},
+         "cluster.cpu_cores_per_server"),
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)
@@ -140,6 +161,22 @@ class TestCapacity:
         result = json.loads((out / "capacity.json").read_text())
         assert result["rate_req_per_s"] >= 0.0
         assert result["probes"]
+
+    def test_each_seed_runs_once_per_probe(self, tmp_path, monkeypatch):
+        # Runs are deterministic, so simulating a seed twice adds nothing.
+        seeds_run = []
+        run = Simulation.run
+
+        def counted_run(sim):
+            seeds_run.append(sim.seed)
+            return run(sim)
+
+        monkeypatch.setattr(Simulation, "run", counted_run)
+        raw = {**BASE_CONFIG, "horizon_ms": 10_000,
+               "capacity": {"lo_multiplier": 0.5, "hi_multiplier": 1.0, "seeds": [1]}}
+        result = run_capacity(config_from_dict(raw, tmp_path))
+        assert result.probes
+        assert seeds_run == [1] * len(result.probes)
 
     def test_inverted_bracket_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -91,6 +91,7 @@ class TestSingleRequest:
         tbt = LLAMA_PROFILE.tbt_latency(1, 4)
         assert rec.completion_ms == pytest.approx(rec.prefill_end_ms + (out - 1) * tbt)
         assert rec.tbt_p99_ms == pytest.approx(tbt)
+        assert rec.tbt_hist == []  # freed once the P99 is taken
 
     def test_single_output_token_completes_at_prefill(self):
         req = make_request(0, 0.0, text=500, out=1)
@@ -310,6 +311,13 @@ class TestScaling:
         live_text = [i for i in sim.instances.values()
                      if i.pool == "text" and i.state.value in ("active", "starting")]
         assert len(live_text) == 1
+
+    def test_text_pool_without_active_instance_breaks_invariant(self):
+        sim = self._scale_sim(None)
+        text = next(i for i in sim.instances.values() if i.pool == "text")
+        sim._set_state(text, InstanceState.DRAINING)
+        with pytest.raises(AssertionError, match="no active text instance"):
+            sim._check_invariants()
 
     def test_gpu_accounting_never_oversubscribed(self):
         # validate=True asserts inventory on every event.

@@ -1,4 +1,5 @@
-"""Golden outputs: the SHA-256 of every ``requests_seed*.csv`` for fixed configs.
+"""Golden outputs: the SHA-256 of every ``requests_seed*.csv`` for fixed configs,
+and one capacity search's exact result.
 
 These pins make "byte-identical output" checkable across commits. A change
 that alters any of these outputs on purpose updates the pins and says why
@@ -11,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from lmmsim.experiment import build_simulation, config_from_dict, run_experiment
+from lmmsim.experiment import (
+    build_simulation,
+    config_from_dict,
+    run_capacity,
+    run_experiment,
+    validate_config,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -125,5 +132,24 @@ def test_requests_csv_unchanged(name, tmp_path):
 def test_invariants_hold(name):
     # validate=True asserts the engine's invariants after every event; the
     # autoscaling variants drain and stop instances along the way.
-    log = build_simulation(config_from_dict(VARIANTS[name], CONFIGS), 1, validate=True).run()
+    exp = validate_config(config_from_dict(VARIANTS[name], CONFIGS))
+    log = build_simulation(exp, 1, validate=True).run()
     assert log.completed > 0
+
+
+# The demo with a looser SLO and 40 s probes: the capacity search doubles
+# twice, fails at 4x, then bisects; ten probes over two seeds.
+CAPACITY = _demo(
+    slo={"slo_factor": 16.0},
+    horizon_ms=60_000,
+    capacity={"lo_multiplier": 0.25, "hi_multiplier": 1.0, "horizon_ms": 40_000, "seeds": [1, 2]},
+)
+CAPACITY_PIN = (11.09375, True, [
+    (1.25, True), (5.0, True), (10.0, True), (20.0, False), (15.0, False),
+    (12.5, False), (11.25, False), (10.625, True), (10.9375, True), (11.09375, True),
+])
+
+
+def test_capacity_unchanged():
+    result = run_capacity(config_from_dict(CAPACITY, CONFIGS))
+    assert (result.rate, result.feasible, result.probes) == CAPACITY_PIN

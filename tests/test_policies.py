@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import MODELS, PROFILES, make_request, make_slo
 from lmmsim.core import Architecture, StageKind, get_model_spec
-from lmmsim.experiment import build_simulation, config_from_dict
+from lmmsim.experiment import build_simulation, config_from_dict, validate_config
 from lmmsim.policies import (
     LoadWindow,
     PlacementKind,
@@ -300,7 +300,7 @@ class TestAutoscaler:
         raw = json.loads((configs / "demo.json").read_text())
         del raw["max_batch"]
         raw["policies"]["autoscaler"] = "token_aware"
-        sim = build_simulation(config_from_dict(raw, configs), 1)
+        sim = build_simulation(validate_config(config_from_dict(raw, configs)), 1)
         assert sim.max_batch["prefill"] == 8
         assert sim.autoscaler.max_batch == sim.max_batch
 
