@@ -12,11 +12,14 @@ is bit-reproducible for a fixed (workload, config, seed).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
 from bisect import bisect_left, insort
-from collections import deque
+from collections import defaultdict, deque
+# Bound here, so bench/tracing.py's stand-in ``heapq`` sees only event-heap calls.
+from heapq import heappop as _heappop, heappush as _heappush
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -111,26 +114,85 @@ class InstanceState(str, Enum):
     STOPPED = "stopped"
 
 
-class DecodeLane:
-    __slots__ = ("members", "remaining", "step_ms", "anchor_ms", "epoch", "admit_queue")
+# Tolerance in decode steps: a member this close to its finish has finished.
+_EPS = 1e-6
 
-    def __init__(self):
-        self.members: list[int] = []
-        self.remaining: dict[int, float] = {}
-        self.step_ms = 0.0
-        self.anchor_ms = 0.0
+
+class DecodeLane:
+    """Continuous batching on a virtual clock, at no cost per member per step.
+
+    ``progress + frac`` counts the decode steps served, in whole steps and a
+    fraction in [0, 1), so a remaining count keeps its precision however long
+    the lane runs. Members wait in ``heap`` by the (whole, fraction) at which
+    they finish. ``served[step_ms]`` counts the steps run at each batch size's
+    step time: a member's TBT samples are what it gained while a member.
+    """
+
+    __slots__ = ("members", "heap", "served", "progress", "frac", "step_ms", "anchor_ms", "epoch",
+                 "admit_queue", "cap", "_step_latency")
+
+    def __init__(self, cap: int, step_latency):
+        self.members: dict[int, tuple[dict, list]] = {}  # rid -> (served at join, its TBT samples)
+        self.heap: list[tuple[float, float, int]] = []  # (whole, fraction of finish, rid)
+        self.served: defaultdict[float, float] = defaultdict(float)
+        self.progress = self.frac = self.step_ms = self.anchor_ms = 0.0
         self.epoch = 0
-        self.admit_queue: deque[tuple[int, float, float]] = deque()  # (request_id, queued_ms, steps)
+        self.admit_queue: deque[tuple[int, float, int]] = deque()  # (rid, queued_ms, steps)
+        self.cap = cap
+        self._step_latency = step_latency  # batch size -> ms per step
 
     def load(self) -> int:
         return len(self.members) + len(self.admit_queue)
 
-    def empty(self) -> bool:
-        return not self.members and not self.admit_queue
+    def advance(self, now: float) -> None:
+        if self.members and now > self.anchor_ms:
+            steps = (now - self.anchor_ms) / self.step_ms
+            whole, self.frac = divmod(self.frac + steps, 1.0)
+            self.progress += whole
+            self.served[self.step_ms] += steps
+        self.anchor_ms = now
+
+    def _join(self, rid: int, steps: int, wait: float) -> None:
+        _heappush(self.heap, (self.progress + steps, self.frac, rid))
+        self.members[rid] = (self.served.copy(), [(wait, 1.0)] if wait > _EPS else [])
+
+    def admit(self, rid: int, steps: int, now: float) -> bool:
+        """Join the batch at ``now`` if it has room, else queue; True if it joined."""
+        if len(self.members) >= self.cap:
+            self.admit_queue.append((rid, now, steps))
+            return False
+        self.advance(now)
+        self._join(rid, steps, 0.0)
+        return True
+
+    def pop_finished(self, now: float) -> list[tuple[int, list]]:
+        """Advance to ``now``, pop the finished as (rid, TBT samples), refill from the queue."""
+        self.advance(now)
+        heap, served, done = self.heap, self.served, []
+        while heap and self.remaining(heap[0]) <= _EPS:
+            rid = _heappop(heap)[2]
+            joined, tbt = self.members.pop(rid)
+            tbt += [(step, w) for step, s in served.items() if (w := s - joined.get(step, 0.0))]
+            done.append((rid, tbt))
+        while self.admit_queue and len(self.members) < self.cap:
+            rid, ready, steps = self.admit_queue.popleft()
+            self._join(rid, steps, now - ready)
+        return done
+
+    def remaining(self, entry: tuple[float, float, int]) -> float:
+        return (entry[0] - self.progress) + (entry[1] - self.frac)
+
+    def restart(self) -> float | None:
+        """Start a step period from the last advance: the time to the next completion, None if empty."""
+        self.epoch += 1
+        if not self.members:
+            return None
+        self.step_ms = self._step_latency(len(self.members))
+        return max(self.remaining(self.heap[0]) * self.step_ms, 0.0)
 
 
 class Instance:
-    def __init__(self, inst_id: int, pool: str, tp: int, server_id: int, cpu_cores: int):
+    def __init__(self, inst_id: int, pool: str, tp: int, server_id: int, cpu_cores: int, decode: DecodeLane):
         self.id = inst_id
         self.pool = pool  # image | text | prefill | decode | monolith
         self.tp = tp
@@ -141,7 +203,7 @@ class Instance:
         self.cpu_queue: list[WorkItem] = []
         self.gpu_busy = False
         self.cpu_busy = False
-        self.decode = DecodeLane()
+        self.decode = decode
         # Tokens routed here and not yet served, in total and per request id
         # as (text, image); any entry, even a (0, 0) decode hand-off, is work
         # still on its way, so the instance is not idle.
@@ -157,7 +219,7 @@ class Instance:
             and not self.cpu_busy
             and not self.gpu_queue
             and not self.cpu_queue
-            and self.decode.empty()
+            and not self.decode.load()
             and not self.reserved
         )
 
@@ -253,7 +315,6 @@ class RequestRecord:
     # Per-shard preprocess/encode stamps; aggregate fields above hold
     # first-start / last-end across shards.
     shards: dict[int, dict] = field(default_factory=dict)
-    tbt_hist: list = field(default_factory=list)  # (gap_ms, weight)
     tbt_p99_ms: float | None = None
     ttft_slo_ms: float = 0.0
     tbt_slo_ms: float = 0.0
@@ -347,8 +408,6 @@ EV_DECODE_ARRIVAL = 5
 EV_ARRIVAL = 6
 EV_SCALE_TICK = 7
 
-_EPS = 1e-6
-
 
 class Simulation:
     def __init__(
@@ -403,6 +462,7 @@ class Simulation:
         self.shards_pending: dict[int, int] = {}
         self.log = MetricsLog(horizon_ms, seed)
         self._pool_tp: dict[str, int] = {}
+        self._step_latency = functools.cache(profile.tbt_latency)  # (batch, tp) -> decode step ms
         # One load index per routed pool, keyed by the load its router uses.
         routed = {self.roles.text: pol.load_key("text", model.architecture)}
         if not self.roles.colocated_encoder:
@@ -441,7 +501,8 @@ class Simulation:
     def _spawn(self, pool: str, tp: int, server_id: int, starting: bool) -> Instance:
         server = self.servers[server_id]
         cores = max(1, server.cpu_cores * tp // server.gpus)
-        inst = Instance(self._next_instance_id, pool, tp, server_id, cores)
+        lane = DecodeLane(self.max_batch["decode"], functools.partial(self._step_latency, tp=tp))
+        inst = Instance(self._next_instance_id, pool, tp, server_id, cores, lane)
         self._next_instance_id += 1
         inst.started_ms = self.now
         self.instances[inst.id] = inst
@@ -806,69 +867,32 @@ class Simulation:
         self._release(inst, rid, 0, 0)
         self._decode_admit(inst, rid, steps)
 
-    def _decode_advance(self, inst: Instance) -> None:
-        lane = inst.decode
-        if not lane.members or self.now <= lane.anchor_ms:
-            lane.anchor_ms = max(lane.anchor_ms, self.now)
-            return
-        steps = (self.now - lane.anchor_ms) / lane.step_ms
-        for rid in lane.members:
-            lane.remaining[rid] -= steps
-            self.log.records[rid].tbt_hist.append((lane.step_ms, steps))
-        lane.anchor_ms = self.now
-
-    def _decode_reschedule(self, inst: Instance) -> None:
-        lane = inst.decode
-        lane.epoch += 1
-        if not lane.members:
-            return
-        lane.step_ms = self.profile.tbt_latency(len(lane.members), inst.tp)
-        lane.anchor_ms = self.now
-        next_dt = min(lane.remaining[r] for r in lane.members) * lane.step_ms
-        self._push(self.now + max(next_dt, 0.0), EV_DECODE_DONE, (inst.id, lane.epoch))
-
     def _decode_admit(self, inst: Instance, rid: int, steps: int) -> None:
-        lane = inst.decode
-        if len(lane.members) >= self.max_batch["decode"]:
-            lane.admit_queue.append((rid, self.now, float(steps)))
-        else:
-            self._decode_advance(inst)
-            lane.members.append(rid)
-            lane.remaining[rid] = float(steps)
-            self._decode_reschedule(inst)
-        if inst.pool == self.roles.decode:
-            self._reindex(inst)
+        self._decode_changed(inst, inst.decode.admit(rid, steps, self.now))
 
     def _on_decode_done(self, data) -> None:
         inst_id, epoch = data
         inst = self.instances[inst_id]
-        lane = inst.decode
-        if epoch != lane.epoch:
+        if epoch != inst.decode.epoch:
             return
-        self._decode_advance(inst)
-        finished = [rid for rid in lane.members if lane.remaining[rid] <= _EPS]
-        for rid in finished:
-            lane.members.remove(rid)
-            del lane.remaining[rid]
-            self._complete(self.requests[rid])
-        while lane.admit_queue and len(lane.members) < self.max_batch["decode"]:
-            rid, ready, steps = lane.admit_queue.popleft()
-            wait = self.now - ready
-            if wait > _EPS:
-                self.log.records[rid].tbt_hist.append((wait, 1.0))
-            lane.members.append(rid)
-            lane.remaining[rid] = steps
-        self._decode_reschedule(inst)
-        if inst.pool == self.roles.decode:
-            self._reindex(inst)
+        for rid, tbt in inst.decode.pop_finished(self.now):
+            self._complete(self.requests[rid], tbt)
+        self._decode_changed(inst, restart=True)
         self._maybe_stop_drained(inst)
 
-    def _complete(self, req: Request) -> None:
+    def _decode_changed(self, inst: Instance, restart: bool) -> None:
+        """A lane's queue, or if ``restart`` its batch, changed: reschedule it, re-sort its load."""
+        next_dt = inst.decode.restart() if restart else None
+        if next_dt is not None:
+            self._push(self.now + next_dt, EV_DECODE_DONE, (inst.id, inst.decode.epoch))
+        if inst.pool == self.roles.decode:
+            self._reindex(inst)
+
+    def _complete(self, req: Request, tbt: list[tuple[float, float]] = ()) -> None:
         rec = self.log.records[req.id]
         rec.completion_ms = self.now
-        if rec.tbt_hist:
-            rec.tbt_p99_ms = weighted_quantile(rec.tbt_hist, 0.99)
-            rec.tbt_hist.clear()  # read only here: free it now, not at the end of the run
+        if tbt:
+            rec.tbt_p99_ms = weighted_quantile(tbt, 0.99)
         ttft_ok = rec.ttft_ms is not None and rec.ttft_ms <= rec.ttft_slo_ms
         tbt_ok = rec.tbt_p99_ms is None or rec.tbt_p99_ms <= rec.tbt_slo_ms
         rec.slo_ok = bool(ttft_ok and tbt_ok)
@@ -971,6 +995,10 @@ class Simulation:
                         sum(i for _, i in inst.reserved.values()))
             assert pending == reserved, f"{inst}: pending {pending} != reserved {reserved}"
             assert inst.state is not InstanceState.STOPPED or inst.idle(), f"{inst} holds work"
+            lane, cap = inst.decode, self.max_batch["decode"]
+            assert sorted(r for *_, r in lane.heap) == sorted(lane.members), f"{inst}: decode heap != members"
+            assert len(lane.members) == cap if lane.admit_queue else len(lane.members) <= cap, f"{inst}: decode cap"
+            assert all(lane.remaining(e) >= -_EPS for e in lane.heap), f"{inst}: overdue decode"
         views = self._server_views()
         for v in views:
             assert v.gpus_free >= 0, f"server {v.server_id} oversubscribed: {v.gpus_total - v.gpus_free}/{v.gpus_total}"

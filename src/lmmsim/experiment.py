@@ -173,13 +173,13 @@ class Experiment:
             requests = [replace(r, arrival_ms=r.arrival_ms / rate_multiplier) for r in requests]
         return [r for r in requests if r.arrival_ms <= horizon_ms]
 
-    def instances(self, seed: int) -> list[InstancePlan]:
-        """The initial pools; "auto" sizes them from this seed's workload."""
+    def instances(self, seed: int, workload: list[Request] | None = None) -> list[InstancePlan]:
+        """The initial pools; "auto" sizes them from this seed's workload at the config's rate and horizon."""
         if self.instance_plan is not None:
             return self.instance_plan
         image_tp, _ = select_sharding("image", self.model, self.profile, self.slo)
         text_tp, _ = select_sharding("text", self.model, self.profile, self.slo)
-        workload = self.workload(seed, self.rate_multiplier, self.horizon_ms)
+        workload = self.workload(seed, self.rate_multiplier, self.horizon_ms) if workload is None else workload
         decision = initial_sizing(summarize(workload), self.profile, self.slo, image_tp, text_tp)
         return [InstancePlan(pool, decision.tp[pool], decision.targets[pool])
                 for pool in ("image", "text")]
@@ -399,14 +399,16 @@ def build_simulation(exp: Experiment, seed: int, rate_multiplier: float | None =
                      horizon_ms: float | None = None, validate: bool = False) -> Simulation:
     horizon = horizon_ms if horizon_ms is not None else exp.horizon_ms
     mult = rate_multiplier if rate_multiplier is not None else exp.rate_multiplier
+    workload = exp.workload(seed, mult, horizon)
+    at_config_rate = (mult, horizon) == (exp.rate_multiplier, exp.horizon_ms)
     sim = Simulation(
         model=exp.model,
         profile=exp.profile,
         slo=exp.slo,
         policies=exp.policies,
         servers=exp.servers,
-        instance_plan=exp.instances(seed),
-        workload=exp.workload(seed, mult, horizon),
+        instance_plan=exp.instances(seed, workload if at_config_rate else None),
+        workload=workload,
         horizon_ms=horizon,
         seed=seed,
         validate=validate,

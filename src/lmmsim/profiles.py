@@ -30,9 +30,9 @@ class CalibrationError(ValueError):
 
 def _interp_tp(table: dict[int, float], tp: int | float) -> float:
     """Piecewise-linear interpolation of a per-TP table over profiled points."""
-    pts = sorted(table)
     if tp in table:
         return table[tp]
+    pts = sorted(table)
     if tp < pts[0] or tp > pts[-1]:
         raise ProfileError(f"TP degree {tp} outside profiled range {pts[0]}..{pts[-1]}")
     for lo, hi in zip(pts, pts[1:]):

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -86,12 +87,14 @@ class TestSingleRequest:
     def test_decode_completion(self):
         out = 9
         req = make_request(0, 0.0, text=500, out=out)
-        log = make_sim([req]).run()
+        sim = make_sim([req])
+        log = sim.run()
         rec = log.records[0]
         tbt = LLAMA_PROFILE.tbt_latency(1, 4)
         assert rec.completion_ms == pytest.approx(rec.prefill_end_ms + (out - 1) * tbt)
         assert rec.tbt_p99_ms == pytest.approx(tbt)
-        assert rec.tbt_hist == []  # freed once the P99 is taken
+        lane = next(i.decode for i in sim.instances.values() if i.pool == "text")
+        assert lane.members == {} and lane.heap == []  # nothing is kept once it completes
 
     def test_single_output_token_completes_at_prefill(self):
         req = make_request(0, 0.0, text=500, out=1)
@@ -567,6 +570,120 @@ class TestDeadlock:
             InstanceState.STOPPED]
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run()
+
+
+def _watch_decode(sim) -> list[tuple[float, int, int]]:
+    """Record the simulation's decode admissions as (time_ms, rid, steps), and
+    fail once its EV_DECODE_DONE pops exceed twice the admissions so far.
+
+    Each pushed decode-done event comes from an admission or from a pop that
+    completed a member, so pops stay within twice the admissions unless a
+    lane reschedules without finishing anyone, as one without its tolerance
+    would forever.
+    """
+    admitted, pops = [], 0
+    admit, decode_done = sim._decode_admit, sim._on_decode_done
+
+    def spy_admit(inst, rid, steps):
+        admitted.append((sim.now, rid, steps))
+        admit(inst, rid, steps)
+
+    def spy_decode_done(data):
+        nonlocal pops
+        pops += 1
+        assert pops <= 2 * len(admitted), "decode-done pops outrun admissions"
+        decode_done(data)
+
+    sim._decode_admit, sim._on_decode_done = spy_admit, spy_decode_done
+    return admitted
+
+
+class TestDecodeLane:
+    @staticmethod
+    def _reference(admissions, cap, step_of):
+        """{rid: (completion_ms, TBT P99)} for one lane's admissions, given as
+        (time_ms, rid, steps) in order: the per-member model, which subtracts
+        every advance from each member's remaining steps and logs it as a TBT
+        sample of that member."""
+        members, remaining, hist, queue, done = [], {}, {}, deque(), {}
+        anchor = step = 0.0
+        due = None
+
+        def advance(now):
+            nonlocal anchor
+            if members and now > anchor:
+                steps = (now - anchor) / step
+                for r in members:
+                    remaining[r] -= steps
+                    hist[r].append((step, steps))
+            anchor = max(anchor, now)
+
+        def reschedule(now):
+            nonlocal anchor, step
+            if not members:
+                return None
+            step, anchor = step_of(len(members)), now
+            return now + max(min(remaining[r] for r in members) * step, 0.0)
+
+        pending = deque(admissions)
+        while pending or due is not None:
+            # An admission at a completion's time comes first (GPU_FREE < DECODE_DONE).
+            if pending and (due is None or pending[0][0] <= due):
+                now, rid, steps = pending.popleft()
+                hist[rid] = []
+                if len(members) >= cap:
+                    queue.append((rid, now, steps))
+                    continue
+                advance(now)
+                members.append(rid)
+                remaining[rid] = float(steps)
+            else:
+                now = due
+                advance(now)
+                for rid in [r for r in members if remaining[r] <= 1e-6]:
+                    members.remove(rid)
+                    done[rid] = (now, weighted_quantile(hist[rid], 0.99))
+                while queue and len(members) < cap:
+                    rid, ready, steps = queue.popleft()
+                    if now - ready > 1e-6:
+                        hist[rid].append((now - ready, 1.0))
+                    members.append(rid)
+                    remaining[rid] = float(steps)
+            due = reschedule(now)
+        return done
+
+    @given(st.lists(st.tuples(st.floats(0.0, 300.0), st.integers(1, 80)), min_size=1, max_size=25),
+           st.integers(1, 4))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_per_member_reference(self, requests, cap):
+        reqs, t = [], 0.0
+        for rid, (gap, out) in enumerate(requests):
+            t += gap
+            reqs.append(make_request(rid, t, text=200, out=out))
+        sim = make_sim(reqs, max_batch={"decode": cap})
+        admitted = _watch_decode(sim)
+        log = sim.run()
+        expected = self._reference(admitted, cap, lambda n: LLAMA_PROFILE.tbt_latency(n, 4))
+        assert sorted(expected) == [r.id for r in reqs if r.output_tokens > 1]
+        for rid, (completion_ms, tbt_p99_ms) in expected.items():
+            rec = log.records[rid]
+            assert rec.completion_ms == pytest.approx(completion_ms, rel=0, abs=1e-6)
+            # The same sample; an admit wait is measured from a completion
+            # time, so it may differ from the model's in the last bits.
+            assert rec.tbt_p99_ms == pytest.approx(tbt_p99_ms, rel=1e-12, abs=0)
+
+    def test_day_scale_times_complete_without_spinning(self):
+        # Near 7e6 ms one ulp of time is about 1e-9 ms: without its tolerance a
+        # lane puts a completion due in ~1e-10 ms onto the same instant, again
+        # and again.
+        start = 7_000_000.0
+        reqs = [make_request(i, start + 37.0 * i, text=300, out=20 + 13 * i % 150)
+                for i in range(60)]
+        sim = make_sim(reqs, horizon_ms=start + 600_000.0, max_batch={"decode": 8})
+        admitted = _watch_decode(sim)
+        log = sim.run()
+        assert log.completed == len(reqs) == len(admitted)
+        assert all(r.completion_ms > start for r in log.records.values())
 
 
 class TestWeightedQuantile:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from lmmsim import experiment
 from lmmsim.experiment import (
     build_simulation,
     config_from_dict,
@@ -153,3 +154,37 @@ CAPACITY_PIN = (11.09375, True, [
 def test_capacity_unchanged():
     result = run_capacity(config_from_dict(CAPACITY, CONFIGS))
     assert (result.rate, result.feasible, result.probes) == CAPACITY_PIN
+
+
+# The README's example config with its pools sized by "auto", which sizes
+# each seed's pools from that seed's workload.
+README_AUTO = {
+    "model": "llama3.2-11b",
+    "topology": "decoupled",
+    "policies": {"router": "least_pending", "scheduler": "slo_priority"},
+    "cluster": {"servers": 4, "gpus_per_server": 8, "cpu_cores_per_server": 16},
+    "instances": "auto",
+    "workload": {"generator": {"base_rate": 10.0, "image_request_fraction": 0.3, "seed": 0}},
+    "slo": {"slo_factor": 5.0},
+    "transfer": {"medium": "rdma"},
+    "horizon_ms": 600000,
+    "seeds": [1, 2, 3],
+}
+README_AUTO_PIN = {
+    "requests_seed1.csv": "0eaf69decbbcfdeb63525fb9acb05598aa324ea4e5867477b8c62e2426c55c21",
+    "requests_seed2.csv": "bb287e83c02eca0b5d5e0a26a0d52070a197c50207d3c6256a4a82f4736e13af",
+    "requests_seed3.csv": "9db335fb52cb7eb951447f7fd12f817101705fbcc6b352199df8fcde5d4cee16",
+}
+
+
+def test_auto_sizing_generates_each_workload_once(tmp_path, monkeypatch):
+    seeds = []
+    generate = experiment.generate
+
+    def counted(cfg, horizon_ms):
+        seeds.append(cfg.seed)
+        return generate(cfg, horizon_ms)
+
+    monkeypatch.setattr(experiment, "generate", counted)
+    assert request_digests(README_AUTO, tmp_path) == README_AUTO_PIN
+    assert seeds == [1, 2, 3]  # the generator's seed 0 plus each run seed, once each
