@@ -30,6 +30,7 @@ from .profiles import LatencyProfile
 from . import policies as pol
 from .policies import (
     DEFAULT_MAX_BATCH,
+    AutoscalerKind,
     POOL_ROLES,
     PolicySet,
     RouterKind,
@@ -88,20 +89,17 @@ class WorkItem:
 
 
 def form_batch(queue: list[WorkItem], now: float, scheduler: SchedulerKind,
-               aging_slo_fraction: float, max_batch: dict) -> list[int]:
-    """Queue indices for the next batch: scheduler order, one stage, capped."""
+               aging_slo_fraction: float, max_batch: dict) -> list[WorkItem]:
+    """Take the next batch off ``queue``: scheduler order, one stage, capped."""
     order = pol.schedule_order(queue, now, scheduler, aging_slo_fraction)
     if not order:
         return []
     stage = queue[order[0]].stage
     cap = max_batch.get(stage.value, 1)
-    picked = []
-    for idx in order:
-        if queue[idx].stage is stage:
-            picked.append(idx)
-            if len(picked) >= cap:
-                break
-    return picked
+    picked = [i for i in order if queue[i].stage is stage][:cap]
+    batch = [queue[i] for i in picked]
+    queue[:] = [it for i, it in enumerate(queue) if i not in picked]
+    return batch
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +189,21 @@ class DecodeLane:
         return max(self.remaining(self.heap[0]) * self.step_ms, 0.0)
 
 
+class Lane:
+    """A batch lane: work items queued in (enqueue_ms, seq) order, one batch
+    running at a time, and the event kind pushed when a batch ends.
+
+    A lane that is not busy holds no queued work between events.
+    """
+
+    __slots__ = ("queue", "busy", "free_event")
+
+    def __init__(self, free_event: int):
+        self.queue: list[WorkItem] = []
+        self.busy = False
+        self.free_event = free_event
+
+
 class Instance:
     def __init__(self, inst_id: int, pool: str, tp: int, server_id: int, cpu_cores: int, decode: DecodeLane):
         self.id = inst_id
@@ -199,10 +212,8 @@ class Instance:
         self.server_id = server_id
         self.cpu_cores = cpu_cores
         self.state = InstanceState.STARTING  # until Simulation._spawn sets it
-        self.gpu_queue: list[WorkItem] = []
-        self.cpu_queue: list[WorkItem] = []
-        self.gpu_busy = False
-        self.cpu_busy = False
+        self.cpu = Lane(EV_CPU_FREE)  # preprocess
+        self.gpu = Lane(EV_GPU_FREE)  # encode and prefill
         self.decode = decode
         # Tokens routed here and not yet served, in total and per request id
         # as (text, image); any entry, even a (0, 0) decode hand-off, is work
@@ -210,18 +221,11 @@ class Instance:
         self.pending_text_tokens = 0
         self.pending_image_tokens = 0
         self.reserved: dict[int, tuple[int, int]] = {}
-        self.started_ms = 0.0
         self.stopped_ms: float | None = None
 
     def idle(self) -> bool:
-        return (
-            not self.gpu_busy
-            and not self.cpu_busy
-            and not self.gpu_queue
-            and not self.cpu_queue
-            and not self.decode.load()
-            and not self.reserved
-        )
+        cpu, gpu = self.cpu, self.gpu
+        return not (cpu.busy or cpu.queue or gpu.busy or gpu.queue or self.decode.load() or self.reserved)
 
     def __repr__(self):
         return f"<Instance {self.id} {self.pool} tp={self.tp} {self.state.value}>"
@@ -408,6 +412,15 @@ EV_DECODE_ARRIVAL = 5
 EV_ARRIVAL = 6
 EV_SCALE_TICK = 7
 
+# The RequestRecord stamps of each stage a batch lane runs: the fields for the
+# first start and the last end across a request's shards, then the per-shard
+# keys (prefill runs once per request, unsharded).
+_STAMPS = {
+    StageKind.PREPROCESS: ("prep_start_ms", "prep_end_ms", "prep_start", "prep_end"),
+    StageKind.ENCODE: ("encode_start_ms", "encode_end_ms", "encode_start", "encode_end"),
+    StageKind.PREFILL: ("prefill_start_ms", "prefill_end_ms", None, None),
+}
+
 
 class Simulation:
     def __init__(
@@ -423,7 +436,6 @@ class Simulation:
         seed: int = 0,
         transfer_medium: TransferMedium = TransferMedium.RDMA,
         max_batch: dict | None = None,
-        autoscaler: TokenAwareAutoscaler | None = None,
         scale_interval_ms: float = 300_000.0,
         start_delay_ms: float = 60_000.0,
         validate: bool = False,
@@ -441,7 +453,11 @@ class Simulation:
         self.max_batch = dict(DEFAULT_MAX_BATCH)
         if max_batch:
             self.max_batch.update(max_batch)
-        self.autoscaler = autoscaler
+        self.autoscaler = None
+        if policies.autoscaler is AutoscalerKind.TOKEN_AWARE:
+            # Priced for the batches the engine forms: its caps, merged with the config's.
+            self.autoscaler = TokenAwareAutoscaler(profile, slo, policies, policies.topology,
+                                                   sum(s.gpus for s in servers), self.max_batch)
         self.scale_interval_ms = scale_interval_ms
         self.start_delay_ms = start_delay_ms
         self.validate = validate
@@ -504,7 +520,6 @@ class Simulation:
         lane = DecodeLane(self.max_batch["decode"], functools.partial(self._step_latency, tp=tp))
         inst = Instance(self._next_instance_id, pool, tp, server_id, cores, lane)
         self._next_instance_id += 1
-        inst.started_ms = self.now
         self.instances[inst.id] = inst
         if starting:
             self._push(self.now + self.start_delay_ms, EV_INSTANCE_STARTED, inst.id)
@@ -547,6 +562,7 @@ class Simulation:
         self._win_output_tokens = 0
         self._win_completed = 0
         self._win_slo_ok = 0
+        # Queueing delay of the stages the autoscaler weighs; preprocess is not one.
         self._win_wait = {"encode": [0.0, 0], "prefill": [0.0, 0]}
 
     # ------------------------------------------------------------------
@@ -585,8 +601,8 @@ class Simulation:
 
         handlers = {
             EV_INSTANCE_STARTED: self._on_instance_started,
-            EV_CPU_FREE: self._on_cpu_free,
-            EV_GPU_FREE: self._on_gpu_free,
+            EV_CPU_FREE: self._on_lane_free,
+            EV_GPU_FREE: self._on_lane_free,
             EV_DECODE_DONE: self._on_decode_done,
             EV_TRANSFER_DONE: self._on_transfer_done,
             EV_DECODE_ARRIVAL: self._on_decode_arrival,
@@ -613,7 +629,7 @@ class Simulation:
     def _deadlock_dump(self) -> str:
         stuck = [r.request_id for r in self.log.records.values() if not r.completed][:10]
         insts = {
-            i.id: (i.pool, i.state.value, len(i.gpu_queue), len(i.cpu_queue), i.decode.load())
+            i.id: (i.pool, i.state.value, len(i.gpu.queue), len(i.cpu.queue), i.decode.load())
             for i in self.instances.values()
         }
         return (f"deadlock: in-flight={self.log.in_flight} stuck={stuck} "
@@ -705,7 +721,7 @@ class Simulation:
         self._reindex(inst)
 
     # ------------------------------------------------------------------
-    # CPU lane (preprocess)
+    # Batch lanes: CPU (preprocess) and GPU (encode + prefill)
     # ------------------------------------------------------------------
     def _new_item(self, req: Request, stage: StageKind, tiles: int, image_idx=(),
                   shard_id: int = 0) -> WorkItem:
@@ -726,114 +742,77 @@ class Simulation:
             shard_id=shard_id,
         )
 
-    def _shard_stamp(self, rid: int, shard_id: int, key: str) -> None:
-        self.log.records[rid].shards.setdefault(shard_id, {})[key] = self.now
-
     def _enqueue_shard(self, inst: Instance, req: Request, image_idx: list[int],
                        shard_id: int, reserve: bool) -> None:
         tiles = sum(req.images[k].tiles for k in image_idx)
         if reserve:
             self._reserve(inst, req.id, 0, tiles * self.model.tokens_per_tile)
-        item = self._new_item(req, StageKind.PREPROCESS, tiles, image_idx, shard_id)
-        inst.cpu_queue.append(item)
-        self._cpu_dispatch(inst)
+        inst.cpu.queue.append(self._new_item(req, StageKind.PREPROCESS, tiles, image_idx, shard_id))
+        self._dispatch(inst, inst.cpu)
 
-    def _take_batch(self, inst: Instance, queue: list[WorkItem], busy: bool) -> list[WorkItem]:
-        """Pop the next batch off one lane's queue; [] if the lane cannot start one."""
-        if busy or inst.state is InstanceState.STARTING or not queue:
-            return []
-        picked = form_batch(queue, self.now, self.policies.scheduler,
-                            self.policies.aging_slo_fraction, self.max_batch)
-        batch = [queue[i] for i in picked]
-        for i in sorted(picked, reverse=True):
-            queue.pop(i)
-        return batch
-
-    def _cpu_dispatch(self, inst: Instance) -> None:
-        batch = self._take_batch(inst, inst.cpu_queue, inst.cpu_busy)
-        if not batch:
-            return
-        tiles = sum(it.tiles for it in batch)
-        latency = self.profile.preprocess_latency(tiles, inst.cpu_cores)
-        for it in batch:
-            rec = self.log.records[it.request_id]
-            if rec.prep_start_ms is None:
-                rec.prep_start_ms = self.now
-            self._shard_stamp(it.request_id, it.shard_id, "prep_start")
-        inst.cpu_busy = True
-        self._push(self.now + latency, EV_CPU_FREE, (inst.id, batch))
-
-    def _on_cpu_free(self, data) -> None:
-        inst_id, batch = data
-        inst = self.instances[inst_id]
-        inst.cpu_busy = False
-        for it in batch:
-            rec = self.log.records[it.request_id]
-            rec.prep_end_ms = self.now
-            self._shard_stamp(it.request_id, it.shard_id, "prep_end")
-            enc = self._new_item(self.requests[it.request_id], StageKind.ENCODE,
-                                 it.tiles, it.shard_images, it.shard_id)
-            inst.gpu_queue.append(enc)
-        self._gpu_dispatch(inst)
-        self._cpu_dispatch(inst)
-        self._maybe_stop_drained(inst)
-
-    # ------------------------------------------------------------------
-    # GPU lane (encode + prefill)
-    # ------------------------------------------------------------------
     def _enqueue_prefill(self, inst: Instance, req: Request) -> None:
-        item = self._new_item(req, StageKind.PREFILL, 0)
-        inst.gpu_queue.append(item)
-        self._gpu_dispatch(inst)
+        inst.gpu.queue.append(self._new_item(req, StageKind.PREFILL, 0))
+        self._dispatch(inst, inst.gpu)
 
-    def _gpu_dispatch(self, inst: Instance) -> None:
-        batch = self._take_batch(inst, inst.gpu_queue, inst.gpu_busy)
-        if not batch:
-            return
-        stage = batch[0].stage
+    def _service_ms(self, inst: Instance, batch: list[WorkItem]) -> float:
+        stage, p = batch[0].stage, self.profile
+        if stage is StageKind.PREFILL:
+            return sum(p.prefill_latency(it.text_tokens, it.image_tokens, inst.tp) for it in batch)
+        tiles = sum(it.tiles for it in batch)
         if stage is StageKind.ENCODE:
-            tiles = sum(it.tiles for it in batch)
-            latency = self.profile.encode_latency(tiles, inst.tp)
-            for it in batch:
-                rec = self.log.records[it.request_id]
-                if rec.encode_start_ms is None:
-                    rec.encode_start_ms = self.now
-                self._shard_stamp(it.request_id, it.shard_id, "encode_start")
-        else:
-            latency = sum(
-                self.profile.prefill_latency(it.text_tokens, it.image_tokens, inst.tp)
-                for it in batch
-            )
-            for it in batch:
-                rec = self.log.records[it.request_id]
-                rec.prefill_start_ms = self.now
-        w = self._win_wait[stage.value]
-        for it in batch:
-            w[0] += self.now - it.enqueue_ms
-            w[1] += 1
-        inst.gpu_busy = True
-        self._push(self.now + latency, EV_GPU_FREE, (inst.id, batch))
+            return p.encode_latency(tiles, inst.tp)
+        return p.preprocess_latency(tiles, inst.cpu_cores)
 
-    def _on_gpu_free(self, data) -> None:
-        inst_id, batch = data
-        inst = self.instances[inst_id]
-        inst.gpu_busy = False
+    def _dispatch(self, inst: Instance, lane: Lane) -> None:
+        """Start the lane's next batch if it is free and has work queued."""
+        if lane.busy or not lane.queue:
+            return
+        now = self.now
+        batch = form_batch(lane.queue, now, self.policies.scheduler,
+                           self.policies.aging_slo_fraction, self.max_batch)
+        stage = batch[0].stage
+        start, _, shard_start, _ = _STAMPS[stage]
         for it in batch:
-            if it.stage is StageKind.ENCODE:
-                self._encode_item_done(inst, it)
+            rec = self.log.records[it.request_id]
+            if getattr(rec, start) is None:
+                setattr(rec, start, now)
+            if shard_start:
+                rec.shards.setdefault(it.shard_id, {})[shard_start] = now
+        wait = self._win_wait.get(stage.value)
+        if wait is not None:
+            for it in batch:
+                wait[0] += now - it.enqueue_ms
+                wait[1] += 1
+        lane.busy = True
+        self._push(now + self._service_ms(inst, batch), lane.free_event, (inst, lane, batch))
+
+    def _on_lane_free(self, data) -> None:
+        inst, lane, batch = data
+        lane.busy = False
+        stage = batch[0].stage
+        _, end, _, shard_end = _STAMPS[stage]
+        for it in batch:
+            req, rec = self.requests[it.request_id], self.log.records[it.request_id]
+            setattr(rec, end, self.now)
+            if shard_end:
+                rec.shards[it.shard_id][shard_end] = self.now
+            if stage is StageKind.PREPROCESS:
+                inst.gpu.queue.append(self._new_item(req, StageKind.ENCODE, it.tiles,
+                                                     it.shard_images, it.shard_id))
+            elif stage is StageKind.ENCODE:
+                self._encode_item_done(inst, req, it.tiles)
             else:
-                self._prefill_done(inst, it)
-        self._gpu_dispatch(inst)
+                self._prefill_done(inst, req)
+        if lane is inst.cpu:
+            # The batch's encodes start before the CPU lane's next batch.
+            self._dispatch(inst, inst.gpu)
+        self._dispatch(inst, lane)
         self._maybe_stop_drained(inst)
 
-    def _encode_item_done(self, inst: Instance, item: WorkItem) -> None:
-        rid = item.request_id
-        req = self.requests[rid]
-        rec = self.log.records[rid]
-        rec.encode_end_ms = self.now
-        self._shard_stamp(rid, item.shard_id, "encode_end")
+    def _encode_item_done(self, inst: Instance, req: Request, tiles: int) -> None:
+        rid = req.id
         if inst.pool == "image":
-            self._release(inst, rid, 0, item.tiles * self.model.tokens_per_tile)
+            self._release(inst, rid, 0, tiles * self.model.tokens_per_tile)
             self.shards_pending[rid] -= 1
             if self.shards_pending[rid] == 0:
                 del self.shards_pending[rid]
@@ -842,12 +821,9 @@ class Simulation:
             # Colocated encoder: continue to prefill on the same instance.
             self._enqueue_prefill(inst, req)
 
-    def _prefill_done(self, inst: Instance, item: WorkItem) -> None:
-        rid = item.request_id
-        req = self.requests[rid]
-        rec = self.log.records[rid]
-        rec.prefill_end_ms = self.now
-        rec.ttft_ms = self.now - req.arrival_ms
+    def _prefill_done(self, inst: Instance, req: Request) -> None:
+        rid = req.id
+        self.log.records[rid].ttft_ms = self.now - req.arrival_ms
         self._release(inst, rid, req.text_tokens, req.total_image_tokens)
         decode_steps = req.output_tokens - 1
         if decode_steps <= 0:
@@ -994,7 +970,13 @@ class Simulation:
             reserved = (sum(t for t, _ in inst.reserved.values()),
                         sum(i for _, i in inst.reserved.values()))
             assert pending == reserved, f"{inst}: pending {pending} != reserved {reserved}"
-            assert inst.state is not InstanceState.STOPPED or inst.idle(), f"{inst} holds work"
+            assert inst.state not in (InstanceState.STARTING, InstanceState.STOPPED) or inst.idle(), \
+                f"{inst} holds work"
+            for lane in (inst.cpu, inst.gpu):
+                q = lane.queue
+                assert lane.busy or not q, f"{inst}: a free lane holds queued work"
+                assert all((a.enqueue_ms, a.seq) < (b.enqueue_ms, b.seq) for a, b in zip(q, q[1:])), \
+                    f"{inst}: lane queue out of (enqueue_ms, seq) order"
             lane, cap = inst.decode, self.max_batch["decode"]
             assert sorted(r for *_, r in lane.heap) == sorted(lane.members), f"{inst}: decode heap != members"
             assert len(lane.members) == cap if lane.admit_queue else len(lane.members) <= cap, f"{inst}: decode cap"

@@ -8,11 +8,13 @@ sweeps execute in parallel processes; each simulation stays single-threaded.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 from .core import ModelSpec, Request, SLOSpec, get_model_spec, load_model_specs
@@ -36,9 +38,7 @@ from .metrics import (
 from .policies import (
     DEFAULT_MAX_BATCH,
     POOL_ROLES,
-    AutoscalerKind,
     PolicySet,
-    TokenAwareAutoscaler,
     Topology,
     initial_sizing,
     is_text_family,
@@ -401,7 +401,7 @@ def build_simulation(exp: Experiment, seed: int, rate_multiplier: float | None =
     mult = rate_multiplier if rate_multiplier is not None else exp.rate_multiplier
     workload = exp.workload(seed, mult, horizon)
     at_config_rate = (mult, horizon) == (exp.rate_multiplier, exp.horizon_ms)
-    sim = Simulation(
+    return Simulation(
         model=exp.model,
         profile=exp.profile,
         slo=exp.slo,
@@ -414,12 +414,6 @@ def build_simulation(exp: Experiment, seed: int, rate_multiplier: float | None =
         validate=validate,
         **exp.engine_options,
     )
-    if exp.policies.autoscaler is AutoscalerKind.TOKEN_AWARE:
-        # Priced for the batches the engine forms: its caps, merged with the config's.
-        budget = sum(s.gpus for s in exp.servers)
-        sim.autoscaler = TokenAwareAutoscaler(exp.profile, exp.slo, exp.policies,
-                                              exp.policies.topology, budget, sim.max_batch)
-    return sim
 
 
 def seed_summary(exp: Experiment, log: MetricsLog) -> dict:
@@ -469,16 +463,19 @@ def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
     return summary
 
 
-def _pool_size() -> int:
-    return max(1, min(os.cpu_count() or 1, 8))
+def _pool(n_jobs: int, parallel: bool = True):
+    """A process pool for batches of ``n_jobs`` jobs, or a null context (no
+    pool) when there is only one job at a time to run."""
+    if parallel and n_jobs > 1:
+        return ProcessPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, 8)))
+    return contextlib.nullcontext()
 
 
-def _map(fn, jobs: list[tuple], parallel: bool = True) -> list:
-    """``fn(*job)`` for each job, in a process pool when there is more than one."""
-    if parallel and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=_pool_size()) as pool:
-            return list(pool.map(fn, *zip(*jobs)))
-    return [fn(*job) for job in jobs]
+def _map(fn, jobs: list[tuple], pool: ProcessPoolExecutor | None) -> list:
+    """``fn(*job)`` for each job, in ``pool`` if there is one."""
+    if pool is None:
+        return [fn(*job) for job in jobs]
+    return list(pool.map(fn, *zip(*jobs)))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
@@ -487,7 +484,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     exp = validate_config(cfg)
     seeds = seeds if seeds is not None else exp.seeds
     out = str(out_dir) if out_dir is not None else None
-    results = _map(_simulate_worker, [(exp, s, out) for s in seeds], parallel)
+    with _pool(len(seeds), parallel) as pool:
+        results = _map(_simulate_worker, [(exp, s, out) for s in seeds], pool)
     by_seed = {r["seed"]: r for r in results}
     agg = aggregate_summaries(list(by_seed.values()))
     summary = {"config": cfg.raw, "seeds": by_seed, "aggregate": agg}
@@ -552,11 +550,12 @@ def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
     lo, hi, rel_tol, horizon, seeds = exp.capacity
     base_rate = _offered_rate(exp)
 
-    def probe(multiplier: float) -> bool:
-        jobs = [(exp, s, multiplier, horizon) for s in seeds]
-        return all(r["ok"] for r in _map(_capacity_probe_worker, jobs))
+    with _pool(len(seeds)) as pool:
+        def probe(multiplier: float) -> bool:
+            jobs = [(exp, s, multiplier, horizon) for s in seeds]
+            return all(r["ok"] for r in _map(_capacity_probe_worker, jobs, pool))
 
-    result = max_throughput(probe, lo, hi, rel_tol=rel_tol)
+        result = max_throughput(probe, lo, hi, rel_tol=rel_tol)
     return CapacityResult(
         rate=result.rate * base_rate,
         feasible=result.feasible,
@@ -611,12 +610,15 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list[str],
     """One experiment per axis value; rows are independent of execution order."""
     if axis not in SWEEP_AXES:
         raise ConfigError("sweep.axis", f"unknown axis {axis!r} (known: {SWEEP_AXES})")
+    exps = [validate_config(config_from_dict(_apply_axis(cfg.raw, axis, v), cfg.base_dir))
+            for v in values]
+    jobs = [(exp, s, None) for exp in exps for s in exp.seeds]
+    with _pool(len(jobs)) as pool:
+        results = iter(_map(_simulate_worker, jobs, pool))
     rows = []
-    for value in values:
-        raw = _apply_axis(cfg.raw, axis, value)
-        summary = run_experiment(config_from_dict(raw, cfg.base_dir), out_dir=None)
-        agg = summary["aggregate"]
-        rows.append({"axis": axis, "value": value, **agg})
+    for value, exp in zip(values, exps):
+        by_seed = {r["seed"]: r for r in islice(results, len(exp.seeds))}
+        rows.append({"axis": axis, "value": value, **aggregate_summaries(list(by_seed.values()))})
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)

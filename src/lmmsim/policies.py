@@ -14,7 +14,7 @@ from enum import Enum
 from operator import attrgetter
 
 from .core import Architecture, ModelSpec, SLOSpec, StageKind
-from .profiles import LatencyProfile
+from .profiles import LatencyProfile, _interp_tp, batch_aware_capacity_tokens_per_s
 from .workload import WorkloadSummary
 
 
@@ -271,36 +271,29 @@ class TokenAwareAutoscaler:
         self._low_windows: dict[str, int] = {}
 
     def _capacity(self, kind: str, tp: int) -> float:
-        from .profiles import batch_aware_capacity_tokens_per_s
-
         p, slo = self.profile, self.slo
-        tail = max(self.policies.capacity_tail_factor, 1e-9)
-        if kind == "image":
-            service, job = p.stage_job(StageKind.ENCODE, tp)
-            share = p.stage_slo_share_ms(StageKind.ENCODE, slo)
-            slack = (share - service) / tail
-            cap = self.max_batch["encode"]
-            return max(batch_aware_capacity_tokens_per_s(service, job, slack, cap), 1e-9)
-        if kind in ("text", "prefill"):
-            service, job = p.stage_job(StageKind.PREFILL, tp)
-            share = p.stage_slo_share_ms(StageKind.PREFILL, slo)
-            slack = (share - service) / tail
-            cap = self.max_batch["prefill"]
-            return max(batch_aware_capacity_tokens_per_s(service, job, slack, cap), 1e-9)
         if kind == "decode":
             return max(p.decode_max_capacity(tp, slo, self.max_batch["decode"]), 1e-9)
-        if kind == "monolith":
-            from .profiles import _interp_tp
-
+        if kind == "image":
+            service, job = p.stage_job(StageKind.ENCODE, tp)
+            slack = p.stage_slo_share_ms(StageKind.ENCODE, slo) - service
+            cap = self.max_batch["encode"]
+        elif kind in ("text", "prefill"):
+            service, job = p.stage_job(StageKind.PREFILL, tp)
+            slack = p.stage_slo_share_ms(StageKind.PREFILL, slo) - service
+            cap = self.max_batch["prefill"]
+        elif kind == "monolith":
             service, job = p.monolith_job(tp)
             table = p.prefill_ms_per_token or p.prefill_self_ms_per_token
             text_service = slo.ttft_base_text_ms * _interp_tp(table, tp) / _interp_tp(
                 table, p.model.default_tp_text)
-            slack = min(slo.ttft_slo_ms(True) - service,
-                        slo.ttft_slo_ms(False) - text_service) / tail
+            slack = min(slo.ttft_slo_ms(True) - service, slo.ttft_slo_ms(False) - text_service)
             cap = self.max_batch["prefill"]
-            return max(batch_aware_capacity_tokens_per_s(service, job, slack, cap), 1e-9)
-        raise ValueError(f"unknown pool kind {kind}")
+        else:
+            raise ValueError(f"unknown pool kind {kind}")
+        # The tail factor shrinks only the queueing slack, which targets tail waits.
+        slack /= max(self.policies.capacity_tail_factor, 1e-9)
+        return max(batch_aware_capacity_tokens_per_s(service, job, slack, cap), 1e-9)
 
     def _load(self, kind: str, window: LoadWindow) -> float:
         arch = self.profile.model.architecture

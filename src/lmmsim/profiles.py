@@ -336,17 +336,14 @@ def batch_aware_capacity_tokens_per_s(service_ms: float, job_tokens: int, slack_
     return rho * job_tokens / service_ms * 1000.0
 
 
-def max_capacity_tokens_per_s(service_ms: float, job_tokens: int, slo_share_ms: float,
-                              tail_factor: float = 1.0) -> float:
+def max_capacity_tokens_per_s(service_ms: float, job_tokens: int, slo_share_ms: float) -> float:
     """Closed-form inverse of `steady_state_latency_ms` at the SLO boundary.
 
-    Returns 0 when even an isolated job misses the share. `tail_factor`
-    shrinks only the queueing slack (share minus service), which targets tail
-    rather than mean waits; 1.0 reproduces the plain mean-latency bound.
+    Returns 0 when even an isolated job misses the share.
     """
     if service_ms <= 0:
         raise ProfileError("service time must be > 0")
-    slack = (slo_share_ms - service_ms) / max(tail_factor, 1e-9)
+    slack = slo_share_ms - service_ms
     if slack <= 0:
         return 0.0
     rho = 2.0 * slack / (service_ms + 2.0 * slack)

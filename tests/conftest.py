@@ -30,7 +30,7 @@ def make_request(rid, arrival_ms, text=100, n_images=0, px=896, out=8, model="ll
 def make_sim(workload, model="llama3.2-11b", topology=Topology.DECOUPLED,
              plan=None, servers=None, policies=None, horizon_ms=600_000.0,
              seed=1, transfer=TransferMedium.NONE, max_batch=None,
-             autoscaler=None, scale_interval_ms=300_000.0,
+             scale_interval_ms=300_000.0,
              start_delay_ms=60_000.0, validate=True):
     if plan is None:
         plan = [InstancePlan("text", 4, 1), InstancePlan("image", 1, 4)]
@@ -52,7 +52,6 @@ def make_sim(workload, model="llama3.2-11b", topology=Topology.DECOUPLED,
         seed=seed,
         transfer_medium=transfer,
         max_batch=max_batch,
-        autoscaler=autoscaler,
         scale_interval_ms=scale_interval_ms,
         start_delay_ms=start_delay_ms,
         validate=validate,

@@ -244,20 +244,23 @@ class TestFormBatch:
 
     def test_queue_of_five_max_two(self):
         queue = [self._item(i, StageKind.ENCODE, 10, enqueue=i) for i in range(5)]
-        picked = form_batch(queue, 10.0, SchedulerKind.FIFO, 0.5, {"encode": 2})
-        assert picked == [0, 1]
+        batch = form_batch(queue, 10.0, SchedulerKind.FIFO, 0.5, {"encode": 2})
+        assert [it.seq for it in batch] == [0, 1]
+        assert [it.seq for it in queue] == [2, 3, 4]
 
     def test_stages_never_mixed(self):
         queue = [self._item(0, StageKind.ENCODE, 10),
                  self._item(1, StageKind.PREFILL, 10),
                  self._item(2, StageKind.ENCODE, 10)]
-        picked = form_batch(queue, 10.0, SchedulerKind.FIFO, 0.5, {"encode": 4, "prefill": 4})
-        assert all(queue[i].stage is StageKind.ENCODE for i in picked)
+        batch = form_batch(queue, 10.0, SchedulerKind.FIFO, 0.5, {"encode": 4, "prefill": 4})
+        assert [it.seq for it in batch] == [0, 2]
+        assert [it.seq for it in queue] == [1]
 
     def test_single_item_batches_for_image_default(self):
         queue = [self._item(i, StageKind.ENCODE, 10, enqueue=i) for i in range(3)]
-        picked = form_batch(queue, 10.0, SchedulerKind.FIFO, 0.5, {"encode": 1})
-        assert picked == [0]
+        batch = form_batch(queue, 10.0, SchedulerKind.FIFO, 0.5, {"encode": 1})
+        assert [it.seq for it in batch] == [0]
+        assert [it.seq for it in queue] == [1, 2]
 
 
 class TestScaling:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MODELS, PROFILES, make_request, make_slo
+from conftest import MODELS, PROFILES, make_request, make_sim, make_slo
 from lmmsim.core import Architecture, StageKind, get_model_spec
 from lmmsim.experiment import build_simulation, config_from_dict, validate_config
 from lmmsim.policies import (
+    AutoscalerKind,
     LoadWindow,
     PlacementKind,
     PolicySet,
@@ -303,6 +304,16 @@ class TestAutoscaler:
         sim = build_simulation(validate_config(config_from_dict(raw, configs)), 1)
         assert sim.max_batch["prefill"] == 8
         assert sim.autoscaler.max_batch == sim.max_batch
+
+    def test_simulation_built_directly_scales(self):
+        # A Simulation given a token_aware PolicySet builds its own autoscaler,
+        # priced for the whole inventory, and ticks without being handed one.
+        reqs = [make_request(i, i * 200.0, n_images=i % 2) for i in range(20)]
+        sim = make_sim(reqs, policies=PolicySet(autoscaler=AutoscalerKind.TOKEN_AWARE),
+                       scale_interval_ms=1_000.0, horizon_ms=5_000.0)
+        log = sim.run()
+        assert sim.autoscaler.gpu_budget == 8 and sim.autoscaler.max_batch is sim.max_batch
+        assert [e["time_ms"] for e in log.scale_events] == [1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0]
 
 
 class TestInitialSizing:
