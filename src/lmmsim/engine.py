@@ -91,6 +91,8 @@ class WorkItem:
 def form_batch(queue: list[WorkItem], now: float, scheduler: SchedulerKind,
                aging_slo_fraction: float, max_batch: dict) -> list[WorkItem]:
     """Take the next batch off ``queue``: scheduler order, one stage, capped."""
+    if len(queue) == 1:  # any order of one item is [0], and every cap is >= 1
+        return [queue.pop()]
     order = pol.schedule_order(queue, now, scheduler, aging_slo_fraction)
     if not order:
         return []
@@ -124,17 +126,22 @@ class DecodeLane:
     the lane runs. Members wait in ``heap`` by the (whole, fraction) at which
     they finish. ``served[step_ms]`` counts the steps run at each batch size's
     step time: a member's TBT samples are what it gained while a member.
+    ``touched[step_ms]`` is the ``tick`` of that entry's last advance, in
+    last-advanced order, so a completion reads only the entries advanced
+    since its request joined; every other entry gained it exactly 0.
     """
 
-    __slots__ = ("members", "heap", "served", "progress", "frac", "step_ms", "anchor_ms", "epoch",
-                 "admit_queue", "cap", "_step_latency")
+    __slots__ = ("members", "heap", "served", "touched", "tick", "progress", "frac", "step_ms",
+                 "anchor_ms", "epoch", "admit_queue", "cap", "_step_latency")
 
     def __init__(self, cap: int, step_latency):
-        self.members: dict[int, tuple[dict, list]] = {}  # rid -> (served at join, its TBT samples)
+        # rid -> (served at join, tick at join, its TBT samples)
+        self.members: dict[int, tuple[dict, int, list]] = {}
         self.heap: list[tuple[float, float, int]] = []  # (whole, fraction of finish, rid)
         self.served: defaultdict[float, float] = defaultdict(float)
+        self.touched: dict[float, int] = {}
         self.progress = self.frac = self.step_ms = self.anchor_ms = 0.0
-        self.epoch = 0
+        self.epoch = self.tick = 0
         self.admit_queue: deque[tuple[int, float, int]] = deque()  # (rid, queued_ms, steps)
         self.cap = cap
         self._step_latency = step_latency  # batch size -> ms per step
@@ -148,11 +155,14 @@ class DecodeLane:
             whole, self.frac = divmod(self.frac + steps, 1.0)
             self.progress += whole
             self.served[self.step_ms] += steps
+            self.tick += 1
+            self.touched.pop(self.step_ms, None)
+            self.touched[self.step_ms] = self.tick
         self.anchor_ms = now
 
     def _join(self, rid: int, steps: int, wait: float) -> None:
         _heappush(self.heap, (self.progress + steps, self.frac, rid))
-        self.members[rid] = (self.served.copy(), [(wait, 1.0)] if wait > _EPS else [])
+        self.members[rid] = (self.served.copy(), self.tick, [(wait, 1.0)] if wait > _EPS else [])
 
     def admit(self, rid: int, steps: int, now: float) -> bool:
         """Join the batch at ``now`` if it has room, else queue; True if it joined."""
@@ -166,11 +176,15 @@ class DecodeLane:
     def pop_finished(self, now: float) -> list[tuple[int, list]]:
         """Advance to ``now``, pop the finished as (rid, TBT samples), refill from the queue."""
         self.advance(now)
-        heap, served, done = self.heap, self.served, []
+        heap, served, touched, done = self.heap, self.served, self.touched, []
         while heap and self.remaining(heap[0]) <= _EPS:
             rid = _heappop(heap)[2]
-            joined, tbt = self.members.pop(rid)
-            tbt += [(step, w) for step, s in served.items() if (w := s - joined.get(step, 0.0))]
+            joined, since, tbt = self.members.pop(rid)
+            for step, tick in reversed(touched.items()):
+                if tick <= since:
+                    break
+                if w := served[step] - joined.get(step, 0.0):
+                    tbt.append((step, w))
             done.append((rid, tbt))
         while self.admit_queue and len(self.members) < self.cap:
             rid, ready, steps = self.admit_queue.popleft()
@@ -456,7 +470,7 @@ class Simulation:
         self.autoscaler = None
         if policies.autoscaler is AutoscalerKind.TOKEN_AWARE:
             # Priced for the batches the engine forms: its caps, merged with the config's.
-            self.autoscaler = TokenAwareAutoscaler(profile, slo, policies, policies.topology,
+            self.autoscaler = TokenAwareAutoscaler(profile, slo, policies,
                                                    sum(s.gpus for s in servers), self.max_batch)
         self.scale_interval_ms = scale_interval_ms
         self.start_delay_ms = start_delay_ms
@@ -981,6 +995,10 @@ class Simulation:
             assert sorted(r for *_, r in lane.heap) == sorted(lane.members), f"{inst}: decode heap != members"
             assert len(lane.members) == cap if lane.admit_queue else len(lane.members) <= cap, f"{inst}: decode cap"
             assert all(lane.remaining(e) >= -_EPS for e in lane.heap), f"{inst}: overdue decode"
+            ticks = list(lane.touched.values())
+            assert lane.touched.keys() == lane.served.keys(), f"{inst}: touched != served"
+            assert all(a < b for a, b in zip(ticks, ticks[1:])) and max(ticks, default=0) <= lane.tick, \
+                f"{inst}: decode ticks out of order"
         views = self._server_views()
         for v in views:
             assert v.gpus_free >= 0, f"server {v.server_id} oversubscribed: {v.gpus_total - v.gpus_free}/{v.gpus_total}"

@@ -259,11 +259,10 @@ class TokenAwareAutoscaler:
     """
 
     def __init__(self, profile: LatencyProfile, slo: SLOSpec, policies: PolicySet,
-                 topology: Topology, gpu_budget: int, max_batch: dict = DEFAULT_MAX_BATCH):
+                 gpu_budget: int, max_batch: dict = DEFAULT_MAX_BATCH):
         self.profile = profile
         self.slo = slo
         self.policies = policies
-        self.topology = topology
         self.gpu_budget = gpu_budget
         # The engine's per-stage batch caps; batching inflates completion
         # latency of compute-bound stages, which capacity planning prices in.
@@ -333,7 +332,7 @@ class TokenAwareAutoscaler:
             tp[kind] = state.tp
 
         if window.completed > 0 and window.slo_attainment < self.policies.attainment_threshold:
-            roles = POOL_ROLES[self.topology]
+            roles = POOL_ROLES[self.policies.topology]
             stage_for = {"encode": roles.image_entry, "prefill": roles.text}
             delays = {s: window.queue_delay_ms.get(s, 0.0) for s in stage_for}
             worst = max(delays, key=lambda s: (delays[s], s))

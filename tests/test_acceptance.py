@@ -489,7 +489,7 @@ def test_criterion_9_property_suites():
 
     # Autoscaler ceil(ML / MC) unit table.
     scaler = TokenAwareAutoscaler(PROFILES["internvl-26b"], make_slo(model="internvl-26b"),
-                                  PolicySet(), Topology.DECOUPLED, 1024)
+                                  PolicySet(topology=Topology.DECOUPLED), 1024)
     mc = scaler._capacity("image", 1)
     table_ok = True
     for mult, want in ((0.1, 1), (1.0, 1), (1.5, 2), (2.5, 3), (4.0, 4), (7.3, 8)):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import MODELS, PROFILES, make_request, make_sim, make_slo
 from lmmsim.core import Architecture, StageKind
 from lmmsim.engine import (
+    DecodeLane,
     InstancePlan,
     InstanceState,
     ServerSpec,
@@ -29,6 +30,7 @@ from lmmsim.policies import (
     route_decode,
     route_image,
     route_text,
+    schedule_order,
     split_by_tiles,
 )
 
@@ -261,6 +263,17 @@ class TestFormBatch:
         batch = form_batch(queue, 10.0, SchedulerKind.FIFO, 0.5, {"encode": 1})
         assert [it.seq for it in batch] == [0]
         assert [it.seq for it in queue] == [1, 2]
+
+    @pytest.mark.parametrize("scheduler", list(SchedulerKind))
+    @pytest.mark.parametrize("enqueue", [0.0, 990.0])  # aged, then fresh, at 1000 ms
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_one_item_queue_is_taken_whole(self, scheduler, enqueue, cap):
+        queue = [self._item(7, StageKind.PREFILL, 10, enqueue=enqueue)]
+        copy = list(queue)
+        batch = form_batch(queue, 1000.0, scheduler, 0.5, {"prefill": cap})
+        assert batch == copy and queue == []
+        # The general path takes the scheduler's first item and up to cap >= 1 of its stage.
+        assert schedule_order(copy, 1000.0, scheduler, 0.5) == [0]
 
 
 class TestScaling:
@@ -674,6 +687,37 @@ class TestDecodeLane:
             # The same sample; an admit wait is measured from a completion
             # time, so it may differ from the model's in the last bits.
             assert rec.tbt_p99_ms == pytest.approx(tbt_p99_ms, rel=1e-12, abs=0)
+
+    # Bursts that fill the batch and its queue, and gaps that let it drain.
+    @given(st.lists(st.tuples(st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 3000.0)),
+                              st.integers(1, 400)), min_size=1, max_size=60),
+           st.integers(6, 10))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_walk_matches_full_walk(self, requests, cap):
+        # Each completion's TBT pairs equal, exactly, those of a walk over
+        # every served step time against the member's join snapshot.
+        lane = DecodeLane(cap, lambda n: LLAMA_PROFILE.tbt_latency(n, 4))
+        pending, t, due, completed = deque(), 0.0, None, 0
+        for rid, (gap, steps) in enumerate(requests):
+            t += gap
+            pending.append((t, rid, steps))
+        while pending or due is not None:
+            if pending and (due is None or pending[0][0] <= due):
+                now, rid, steps = pending.popleft()
+                if not lane.admit(rid, steps, now):
+                    continue
+            else:
+                now = due
+                joined = {rid: (snap, list(tbt)) for rid, (snap, _, tbt) in lane.members.items()}
+                for rid, tbt in lane.pop_finished(now):
+                    snap, full = joined[rid]
+                    full += [(step, w) for step, s in lane.served.items()
+                             if (w := s - snap.get(step, 0.0))]
+                    assert sorted(tbt) == sorted(full)
+                    completed += 1
+            dt = lane.restart()
+            due = None if dt is None else now + dt
+        assert completed == len(requests) and not lane.members
 
     def test_day_scale_times_complete_without_spinning(self):
         # Near 7e6 ms one ulp of time is about 1e-9 ms: without its tolerance a

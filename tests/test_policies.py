@@ -187,11 +187,9 @@ class TestSplitByTiles:
         assert seen == list(range(len(tiles)))
 
 
-def _autoscaler(model="internvl-26b", topology=Topology.DECOUPLED, budget=64,
-                policies=None):
+def _autoscaler(model="internvl-26b", topology=Topology.DECOUPLED, budget=64):
     return TokenAwareAutoscaler(
-        PROFILES[model], make_slo(model=model), policies or PolicySet(),
-        topology, budget,
+        PROFILES[model], make_slo(model=model), PolicySet(topology=topology), budget,
     )
 
 
@@ -222,7 +220,7 @@ class TestAutoscaler:
             window = LoadWindow(window_ms=300_000, image_token_rate=mult * mc)
             counts.append(
                 TokenAwareAutoscaler(PROFILES["internvl-26b"], make_slo(model="internvl-26b"),
-                                     PolicySet(), Topology.DECOUPLED, 1024).decide(
+                                     PolicySet(topology=Topology.DECOUPLED), 1024).decide(
                     window, pools).targets["image"]
             )
         assert counts == sorted(counts)
@@ -285,8 +283,8 @@ class TestAutoscaler:
             LoadWindow(window_ms=300_000, image_token_rate=3.3 * mc), pools).targets["image"]
         # Same ratio of load to capacity at a different absolute scale.
         slo2 = make_slo(model="internvl-26b", factor=10.0)
-        scaler2 = TokenAwareAutoscaler(PROFILES["internvl-26b"], slo2, PolicySet(),
-                                       Topology.DECOUPLED, 64)
+        scaler2 = TokenAwareAutoscaler(PROFILES["internvl-26b"], slo2,
+                                       PolicySet(topology=Topology.DECOUPLED), 64)
         mc2 = scaler2._capacity("image", 1)
         b = scaler2.decide(
             LoadWindow(window_ms=300_000, image_token_rate=3.3 * mc2), pools).targets["image"]
