@@ -117,12 +117,6 @@ class Request:
         return len(self.images) > 0
 
 
-def request_totals(request: Request) -> tuple[int, int, int]:
-    """(text, image, total) token counts of a request."""
-    img = request.total_image_tokens
-    return request.text_tokens, img, request.text_tokens + img
-
-
 @dataclass(frozen=True)
 class SLOSpec:
     """Latency targets: per-modality TTFT base, TBT base, and a scale factor.

@@ -33,7 +33,6 @@ from .policies import (
     AutoscalerKind,
     POOL_ROLES,
     PolicySet,
-    RouterKind,
     SchedulerKind,
     ServerView,
     TokenAwareAutoscaler,
@@ -248,14 +247,15 @@ class Instance:
 _instance_id = operator.attrgetter("id")
 
 
-class LoadIndex(pol.LoadOrder):
+class LoadIndex:
     """One routed pool's ACTIVE instances, in id order and by (load, id).
 
     ``key`` is the pool's least-pending load (``policies.load_key``). The
     engine adds and removes instances as they enter and leave ACTIVE and
     calls ``update`` whenever an active instance's load may have changed.
-    As a sequence the index reads in (load, id) order, so the routers find
-    the least-loaded instances at its head instead of by a scan.
+    The routers take the index itself: round-robin walks ``active``, and
+    least-pending takes the head of the sequence, which reads in (load, id)
+    order, instead of scanning the pool.
     """
 
     def __init__(self, key, instances: dict[int, Instance]):
@@ -491,7 +491,7 @@ class Simulation:
         self.requests: dict[int, Request] = {}
         self.shards_pending: dict[int, int] = {}
         self.log = MetricsLog(horizon_ms, seed)
-        self._pool_tp: dict[str, int] = {}
+        self._pool_tp = {entry.pool: entry.tp for entry in instance_plan}
         self._step_latency = functools.cache(profile.tbt_latency)  # (batch, tp) -> decode step ms
         # One load index per routed pool, keyed by the load its router uses.
         routed = {self.roles.text: pol.load_key("text", model.architecture)}
@@ -504,29 +504,25 @@ class Simulation:
         # Window accumulators for autoscaling decisions.
         self._win_reset()
 
-        self._build_cluster(instance_plan)
+        unplaced = self._place([(e.pool, e.tp) for e in instance_plan for _ in range(e.count)],
+                               starting=False)
+        if unplaced:
+            raise SimulationError(f"initial instances do not fit inventory: {unplaced}")
+        for pool in (self.roles.text, self.roles.decode):
+            if pool is not None and not self.load_index[pool].active:
+                raise SimulationError(f"cluster needs at least one {pool} instance")
+        self._allocation_changed()
 
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def _build_cluster(self, plan: list[InstancePlan]) -> None:
-        additions = []
-        for entry in plan:
-            self._pool_tp[entry.pool] = entry.tp
-            for _ in range(entry.count):
-                additions.append((entry.pool, entry.tp))
-        views = [
-            ServerView(s.server_id, s.gpus, s.gpus, False) for s in self.servers.values()
-        ]
-        placements, unplaced, ok = pol.place(additions, views, self.policies.placement)
-        if not ok:
-            raise SimulationError(f"initial instances do not fit inventory: {unplaced}")
-        for pool_name, tp, server_id in placements:
-            self._spawn(pool_name, tp, server_id, starting=False)
-        for pool in (self.roles.text, self.roles.decode):
-            if pool is not None and not any(i.pool == pool for i in self.instances.values()):
-                raise SimulationError(f"cluster needs at least one {pool} instance")
-        self._allocation_changed()
+    def _place(self, additions: list[tuple[str, int]], starting: bool) -> list[tuple[str, int]]:
+        """Place new (pool, tp) instances on the servers' free GPUs and spawn
+        them; returns the ones that did not fit."""
+        placements, unplaced, _ = pol.place(additions, self._server_views(), self.policies.placement)
+        for pool, tp, server_id in placements:
+            self._spawn(pool, tp, server_id, starting)
+        return unplaced
 
     def _spawn(self, pool: str, tp: int, server_id: int, starting: bool) -> Instance:
         server = self.servers[server_id]
@@ -582,14 +578,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # Pools and routing
     # ------------------------------------------------------------------
-    def _candidates(self, pool: str):
-        """What a router picks from: every active instance of the pool, in
-        (load, id) order for least-pending and in id order for round-robin."""
-        index = self.load_index[pool]
-        if self.policies.router is RouterKind.LEAST_PENDING:
-            return index
-        return index.active
-
     def _reindex(self, inst: Instance) -> None:
         """Re-sort an instance in its pool's load index after its load changed."""
         index = self.load_index.get(inst.pool)
@@ -679,9 +667,8 @@ class Simulation:
             self._route_to_text_pool(req)
 
     def _route_to_image_pool(self, req: Request) -> None:
-        pool = self._candidates(self.roles.image_entry)
-        assignment = pol.route_image(req, pool, self.policies.router,
-                                     self.policies.max_fanout, self.rr_state)
+        assignment = pol.route_image(req, self.load_index[self.roles.image_entry],
+                                     self.policies.router, self.policies.max_fanout, self.rr_state)
         if assignment is None:
             self.image_waiting.append(req)
             return
@@ -691,9 +678,7 @@ class Simulation:
 
     def _route_to_text_pool(self, req: Request) -> None:
         """Reserve a text instance: on arrival, or once a request's images are encoded."""
-        pool = self._candidates(self.roles.text)
-        inst = pol.route_text(req, pool, self.model.architecture,
-                              self.policies.router, self.rr_state)
+        inst = pol.route_text(req, self.load_index[self.roles.text], self.policies.router, self.rr_state)
         self._reserve(inst, req.id, req.text_tokens, req.total_image_tokens)
         if not req.is_multimodal:
             self._enqueue_prefill(inst, req)
@@ -705,7 +690,7 @@ class Simulation:
             self._push(self.now + delay, EV_TRANSFER_DONE, (req.id, inst.id))
 
     def _route_to_decode_pool(self, req: Request, steps: int) -> None:
-        target = pol.route_decode(self._candidates(self.roles.decode))
+        target = self.load_index[self.roles.decode][0]  # least loaded, whatever the router
         self._reserve(target, req.id, 0, 0)  # the hand-off, until it arrives
         delay = sample_transfer_ms(self.transfer_medium, self.rng)
         self._push(self.now + delay, EV_DECODE_ARRIVAL, (req.id, target.id, steps))
@@ -719,17 +704,17 @@ class Simulation:
     # ------------------------------------------------------------------
     # Pending-token reservations
     # ------------------------------------------------------------------
+    # A request holds at most one reservation per instance: its image shards
+    # go to distinct instances, and its text and decode reservations to
+    # different pools. So a reservation is released whole.
     def _reserve(self, inst: Instance, rid: int, text: int, image: int) -> None:
-        t, i = inst.reserved.get(rid, (0, 0))
-        inst.reserved[rid] = (t + text, i + image)
+        inst.reserved[rid] = (text, image)
         inst.pending_text_tokens += text
         inst.pending_image_tokens += image
         self._reindex(inst)
 
-    def _release(self, inst: Instance, rid: int, text: int, image: int) -> None:
-        t, i = inst.reserved.pop(rid)
-        if (t, i) != (text, image):
-            inst.reserved[rid] = (t - text, i - image)
+    def _release(self, inst: Instance, rid: int) -> None:
+        text, image = inst.reserved.pop(rid)
         inst.pending_text_tokens -= text
         inst.pending_image_tokens -= image
         self._reindex(inst)
@@ -814,7 +799,7 @@ class Simulation:
                 inst.gpu.queue.append(self._new_item(req, StageKind.ENCODE, it.tiles,
                                                      it.shard_images, it.shard_id))
             elif stage is StageKind.ENCODE:
-                self._encode_item_done(inst, req, it.tiles)
+                self._encode_item_done(inst, req)
             else:
                 self._prefill_done(inst, req)
         if lane is inst.cpu:
@@ -823,10 +808,10 @@ class Simulation:
         self._dispatch(inst, lane)
         self._maybe_stop_drained(inst)
 
-    def _encode_item_done(self, inst: Instance, req: Request, tiles: int) -> None:
+    def _encode_item_done(self, inst: Instance, req: Request) -> None:
         rid = req.id
         if inst.pool == "image":
-            self._release(inst, rid, 0, tiles * self.model.tokens_per_tile)
+            self._release(inst, rid)
             self.shards_pending[rid] -= 1
             if self.shards_pending[rid] == 0:
                 del self.shards_pending[rid]
@@ -838,7 +823,7 @@ class Simulation:
     def _prefill_done(self, inst: Instance, req: Request) -> None:
         rid = req.id
         self.log.records[rid].ttft_ms = self.now - req.arrival_ms
-        self._release(inst, rid, req.text_tokens, req.total_image_tokens)
+        self._release(inst, rid)
         decode_steps = req.output_tokens - 1
         if decode_steps <= 0:
             self._complete(req)
@@ -854,7 +839,7 @@ class Simulation:
     def _on_decode_arrival(self, data) -> None:
         rid, inst_id, steps = data
         inst = self.instances[inst_id]
-        self._release(inst, rid, 0, 0)
+        self._release(inst, rid)
         self._decode_admit(inst, rid, steps)
 
     def _decode_admit(self, inst: Instance, rid: int, steps: int) -> None:
@@ -950,10 +935,7 @@ class Simulation:
                     self._set_state(inst, InstanceState.DRAINING)
                     self._maybe_stop_drained(inst)
         if additions:
-            views = self._server_views()
-            placements, unplaced, ok = pol.place(additions, views, self.policies.placement)
-            for pool_name, tp, server_id in placements:
-                self._spawn(pool_name, tp, server_id, starting=True)
+            unplaced = self._place(additions, starting=True)
             if unplaced:
                 event["flags"].append(f"unplaced: {unplaced}")
         self._allocation_changed()

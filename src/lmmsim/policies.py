@@ -8,7 +8,6 @@ placement).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -143,9 +142,9 @@ def load_key(role: str, architecture: Architecture | None = None):
     (``"text"``, ``"image"`` or ``"decode"``); ties go to the lower id.
 
     A cross-attention model's text pool does not hold image tokens in its
-    prompt, so only its text tokens count. The engine's per-pool load index
-    (a ``LoadOrder``) sorts by the same key, so the head the routers take
-    from it is the argmin a scan over the whole pool would find.
+    prompt, so only its text tokens count. The engine keeps each routed
+    pool's active instances in a load index sorted by ``(key, id)``, so the
+    least-loaded instances are at its head.
     """
     if role == "image":
         return attrgetter("pending_image_tokens")
@@ -156,65 +155,39 @@ def load_key(role: str, architecture: Architecture | None = None):
     return lambda i: i.pending_text_tokens + i.pending_image_tokens
 
 
-class LoadOrder(Sequence):
-    """A pool's active instances sorted by ``(load_key(inst), inst.id)``.
-
-    Every active instance of the pool is in it, so it is the whole candidate
-    set; since it is already in least-pending order, the routers take its
-    head instead of scanning it. Any other sequence they scan. The engine's
-    per-pool load index is one.
-    """
-
-
-def route_image(request, instances, router: RouterKind, max_fanout: int, rr_state: dict):
+def route_image(request, index, router: RouterKind, max_fanout: int, rr_state: dict):
     """Assign a request's images to image instances.
 
+    ``index`` is the image pool's load index: its active instances in id
+    order (``index.active``) and, as a sequence, in ``(load, id)`` order.
     Sharding across instances comes with the decoupled topology; the router
     only decides which instances receive the shards. Least-pending picks the
     least image-token-loaded instances, round-robin walks the pool blindly.
     Returns a list of (instance, image_indices).
     """
-    if not instances:
+    if not index:
         return None
     tile_sizes = [img.tiles for img in request.images]
-    fanout = min(len(tile_sizes), len(instances), max_fanout)
+    fanout = min(len(tile_sizes), len(index), max_fanout)
     if router is RouterKind.ROUND_ROBIN:
-        ordered = sorted(instances, key=lambda i: i.id)
+        active = index.active
         pos = rr_state.get("image", 0)
         rr_state["image"] = pos + fanout
-        chosen = [ordered[(pos + k) % len(ordered)] for k in range(fanout)]
-    elif isinstance(instances, LoadOrder):
-        chosen = instances[:fanout]
+        chosen = [active[(pos + k) % len(active)] for k in range(fanout)]
     else:
-        key = load_key("image")
-        chosen = sorted(instances, key=lambda i: (key(i), i.id))[:fanout]
+        chosen = index[:fanout]
     shards = split_by_tiles(tile_sizes, len(chosen))
     return [(chosen[k], shard) for k, shard in enumerate(shards)]
 
 
-def route_text(request, instances, architecture: Architecture, router: RouterKind, rr_state: dict):
-    """Pick the text (or prefill) instance for a request's LLM work."""
-    if not instances:
-        return None
+def route_text(request, index, router: RouterKind, rr_state: dict):
+    """Pick the text (or prefill) instance for a request's LLM work from the
+    pool's load index (see ``route_image``)."""
     if router is RouterKind.ROUND_ROBIN:
-        ordered = sorted(instances, key=lambda i: i.id)
-        pos = rr_state.get("text", 0) % len(ordered)
+        pos = rr_state.get("text", 0) % len(index)
         rr_state["text"] = pos + 1
-        return ordered[pos]
-    if isinstance(instances, LoadOrder):
-        return instances[0]
-    key = load_key("text", architecture)
-    return min(instances, key=lambda i: (key(i), i.id))
-
-
-def route_decode(instances):
-    """Decode pool routing: least active decode load, ties by id."""
-    if not instances:
-        return None
-    if isinstance(instances, LoadOrder):
-        return instances[0]
-    key = load_key("decode")
-    return min(instances, key=lambda i: (key(i), i.id))
+        return index.active[pos]
+    return index[0]
 
 
 # ----------------------------------------------------------------------
@@ -263,25 +236,21 @@ class TokenAwareAutoscaler:
         self.profile = profile
         self.slo = slo
         self.policies = policies
+        self.roles = POOL_ROLES[policies.topology]
         self.gpu_budget = gpu_budget
         # The engine's per-stage batch caps; batching inflates completion
         # latency of compute-bound stages, which capacity planning prices in.
         self.max_batch = max_batch
         self._low_windows: dict[str, int] = {}
 
-    def _capacity(self, kind: str, tp: int) -> float:
-        p, slo = self.profile, self.slo
-        if kind == "decode":
+    def _capacity(self, pool: str, tp: int) -> float:
+        """Token rate one instance of ``pool`` sustains, priced by the work
+        its role gives it under the topology."""
+        p, slo, roles = self.profile, self.slo, self.roles
+        if pool == roles.decode:
             return max(p.decode_max_capacity(tp, slo, self.max_batch["decode"]), 1e-9)
-        if kind == "image":
-            service, job = p.stage_job(StageKind.ENCODE, tp)
-            slack = p.stage_slo_share_ms(StageKind.ENCODE, slo) - service
-            cap = self.max_batch["encode"]
-        elif kind in ("text", "prefill"):
-            service, job = p.stage_job(StageKind.PREFILL, tp)
-            slack = p.stage_slo_share_ms(StageKind.PREFILL, slo) - service
-            cap = self.max_batch["prefill"]
-        elif kind == "monolith":
+        if pool == roles.text and roles.colocated_encoder:
+            # Encode and prefill share the instance's GPU: the monolith job.
             service, job = p.monolith_job(tp)
             table = p.prefill_ms_per_token or p.prefill_self_ms_per_token
             text_service = slo.ttft_base_text_ms * _interp_tp(table, tp) / _interp_tp(
@@ -289,24 +258,24 @@ class TokenAwareAutoscaler:
             slack = min(slo.ttft_slo_ms(True) - service, slo.ttft_slo_ms(False) - text_service)
             cap = self.max_batch["prefill"]
         else:
-            raise ValueError(f"unknown pool kind {kind}")
+            stage = StageKind.PREFILL if pool == roles.text else StageKind.ENCODE
+            service, job = p.stage_job(stage, tp)
+            slack = p.stage_slo_share_ms(stage, slo) - service
+            cap = self.max_batch[stage.value]
         # The tail factor shrinks only the queueing slack, which targets tail waits.
         slack /= max(self.policies.capacity_tail_factor, 1e-9)
         return max(batch_aware_capacity_tokens_per_s(service, job, slack, cap), 1e-9)
 
-    def _load(self, kind: str, window: LoadWindow) -> float:
-        arch = self.profile.model.architecture
-        if kind == "image":
-            return window.image_token_rate
-        if kind in ("text", "prefill"):
-            if arch is Architecture.CRO_ATTN:
-                return window.text_token_rate
-            return window.total_token_rate
-        if kind == "decode":
+    def _load(self, pool: str, window: LoadWindow) -> float:
+        """The offered token rate ``pool`` serves, in the unit its capacity is priced in."""
+        roles = self.roles
+        if pool == roles.decode:
             return window.output_token_rate
-        if kind == "monolith":
-            return window.total_token_rate
-        raise ValueError(f"unknown pool kind {kind}")
+        if pool != roles.text:
+            return window.image_token_rate
+        if not roles.colocated_encoder and self.profile.model.architecture is Architecture.CRO_ATTN:
+            return window.text_token_rate
+        return window.total_token_rate
 
     def _target(self, kind: str, window: LoadWindow, current: PoolState) -> int:
         mc = self._capacity(kind, current.tp)
@@ -332,8 +301,7 @@ class TokenAwareAutoscaler:
             tp[kind] = state.tp
 
         if window.completed > 0 and window.slo_attainment < self.policies.attainment_threshold:
-            roles = POOL_ROLES[self.policies.topology]
-            stage_for = {"encode": roles.image_entry, "prefill": roles.text}
+            stage_for = {"encode": self.roles.image_entry, "prefill": self.roles.text}
             delays = {s: window.queue_delay_ms.get(s, 0.0) for s in stage_for}
             worst = max(delays, key=lambda s: (delays[s], s))
             pool = stage_for[worst]
@@ -398,10 +366,10 @@ def select_sharding(kind: str, model: ModelSpec, profile: LatencyProfile, slo: S
     best_tp = None
     best_score = -1.0
     for tp in candidates:
-        service, _ = profile.stage_job(stage, tp)
+        service, job = profile.stage_job(stage, tp)
         if service > share:
             continue
-        score = profile.max_capacity(stage, tp, share) / tp
+        score = batch_aware_capacity_tokens_per_s(service, job, share - service, 1) / tp
         if score > best_score + 1e-12:
             best_score = score
             best_tp = tp

@@ -175,7 +175,7 @@ class LatencyProfile:
     def ref_image_tiles(self) -> int:
         return tile_count(*self.ref_image_px, self.model)
 
-    def stage_job(self, stage: StageKind, tp: int, cpu_cores: int | None = None) -> tuple[float, int]:
+    def stage_job(self, stage: StageKind, tp: int) -> tuple[float, int]:
         """(service_ms, job_tokens) of the reference request at one stage.
 
         The job is the unit of work used by the queueing model: an encode job
@@ -191,9 +191,6 @@ class LatencyProfile:
                 # Text tokens are the load unit routed to text instances.
                 return self.prefill_latency(t_ref, 0, tp), t_ref
             return self.prefill_latency(t_ref, i_ref, tp), t_ref + i_ref
-        if stage is StageKind.PREPROCESS:
-            cores = cpu_cores if cpu_cores is not None else self.ref_cpu_cores
-            return self.preprocess_latency(self.ref_image_tiles(), cores), i_ref
         raise ProfileError(f"no capacity job for stage {stage}")
 
     def monolith_job(self, tp: int) -> tuple[float, int]:
@@ -209,13 +206,6 @@ class LatencyProfile:
         if frac is None:
             raise ProfileError(f"no TTFT share for stage {stage}")
         return frac * slo.ttft_slo_ms(multimodal=True)
-
-    def max_capacity(self, stage: StageKind, tp: int, slo_share_ms: float) -> float:
-        """Largest sustainable token rate (tokens/sec) for a stage under its SLO share."""
-        if slo_share_ms <= 0:
-            raise ProfileError("slo_share_ms must be > 0")
-        service_ms, job_tokens = self.stage_job(stage, tp)
-        return max_capacity_tokens_per_s(service_ms, job_tokens, slo_share_ms)
 
     def decode_max_capacity(self, tp: int, slo: SLOSpec, max_batch: int) -> float:
         """Decode token throughput at the largest batch meeting the TBT SLO."""
@@ -305,7 +295,10 @@ class LatencyProfile:
 
 
 # ----------------------------------------------------------------------
-# Queueing model shared by capacity planning and its test oracle
+# Queueing model. Capacity planning prices every stage with
+# `batch_aware_capacity_tokens_per_s`; at a batch cap of 1 it is the
+# closed-form inverse of `steady_state_latency_ms` at the SLO boundary, and
+# the tests check it against that M/D/1 latency.
 # ----------------------------------------------------------------------
 def steady_state_latency_ms(service_ms: float, job_tokens: int, rate_tokens_per_s: float) -> float:
     """Predicted per-job latency (service + M/D/1 queueing wait) at a token rate."""
@@ -333,20 +326,6 @@ def batch_aware_capacity_tokens_per_s(service_ms: float, job_tokens: int, slack_
     for _ in range(12):
         b = min(float(batch_cap), max(1.0, 1.0 / max(1e-9, 1.0 - rho)))
         rho = 2.0 * slack_ms / (b * service_ms + 2.0 * slack_ms)
-    return rho * job_tokens / service_ms * 1000.0
-
-
-def max_capacity_tokens_per_s(service_ms: float, job_tokens: int, slo_share_ms: float) -> float:
-    """Closed-form inverse of `steady_state_latency_ms` at the SLO boundary.
-
-    Returns 0 when even an isolated job misses the share.
-    """
-    if service_ms <= 0:
-        raise ProfileError("service time must be > 0")
-    slack = slo_share_ms - service_ms
-    if slack <= 0:
-        return 0.0
-    rho = 2.0 * slack / (service_ms + 2.0 * slack)
     return rho * job_tokens / service_ms * 1000.0
 
 

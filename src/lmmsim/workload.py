@@ -266,30 +266,19 @@ def generate(cfg: GeneratorConfig, horizon_ms: float) -> list[Request]:
 @dataclass
 class WorkloadSummary:
     empty: bool
-    n_requests: int = 0
-    duration_s: float = 0.0
-    median_prompt_tokens: float = 0.0
-    p95_prompt_tokens: float = 0.0
     median_images_per_request: float = 0.0
-    p95_images_per_request: float = 0.0
     median_image_tiles: float = 0.0
     median_image_qps: float = 0.0
-    image_request_fraction: float = 0.0
-    per_service: dict[str, int] = field(default_factory=dict)
 
 
 def summarize(requests: list[Request], window_s: float = 60.0) -> WorkloadSummary:
-    """Aggregate prompt/image statistics used by initial pool sizing."""
+    """Aggregate image statistics used by initial pool sizing."""
     if not requests:
         return WorkloadSummary(empty=True)
-    prompts = np.array([r.text_tokens + r.total_image_tokens for r in requests])
     image_reqs = [r for r in requests if r.is_multimodal]
     images = np.array([len(r.images) for r in image_reqs]) if image_reqs else np.array([0.0])
     duration_ms = max(r.arrival_ms for r in requests) - min(r.arrival_ms for r in requests)
     duration_s = max(duration_ms / 1000.0, 1e-9)
-    per_service: dict[str, int] = {}
-    for r in requests:
-        per_service[r.service_id] = per_service.get(r.service_id, 0) + 1
     if image_reqs:
         # Median over fixed windows of the image arrival rate.
         t0 = min(r.arrival_ms for r in requests)
@@ -303,18 +292,11 @@ def summarize(requests: list[Request], window_s: float = 60.0) -> WorkloadSummar
         median_qps = 0.0
     return WorkloadSummary(
         empty=False,
-        n_requests=len(requests),
-        duration_s=duration_s,
-        median_prompt_tokens=float(np.median(prompts)),
-        p95_prompt_tokens=float(np.percentile(prompts, 95)),
         median_images_per_request=float(np.median(images)) if image_reqs else 0.0,
-        p95_images_per_request=float(np.percentile(images, 95)) if image_reqs else 0.0,
         median_image_tiles=(
             float(np.median([img.tiles for r in image_reqs for img in r.images]))
             if image_reqs
             else 0.0
         ),
         median_image_qps=median_qps,
-        image_request_fraction=len(image_reqs) / len(requests),
-        per_service=per_service,
     )

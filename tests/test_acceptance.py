@@ -13,7 +13,7 @@ import pytest
 
 from conftest import MODELS, PROFILES, make_request, make_slo
 from lmmsim.core import ImageSpec, Request, SLOSpec, StageKind, get_model_spec
-from lmmsim.engine import InstancePlan, ServerSpec, Simulation, TransferMedium
+from lmmsim.engine import InstancePlan, LoadIndex, ServerSpec, Simulation, TransferMedium
 from lmmsim.experiment import build_simulation, config_from_dict, run_capacity, validate_config
 from lmmsim.metrics import overall_attainment, cost_summary, quantile, summarize_latency
 from lmmsim.policies import (
@@ -24,6 +24,7 @@ from lmmsim.policies import (
     SchedulerKind,
     TokenAwareAutoscaler,
     Topology,
+    load_key,
     route_image,
     route_text,
     schedule_order,
@@ -479,8 +480,11 @@ def test_criterion_9_property_suites():
     for _ in range(300):
         n = int(rng.integers(1, 9))
         pend = rng.integers(0, 10_000, size=n)
-        pool = [SimpleNamespace(id=i, pending_image_tokens=int(pend[i]),
-                                pending_text_tokens=int(pend[i]) // 2) for i in range(n)]
+        insts = {i: SimpleNamespace(id=i, pending_image_tokens=int(pend[i]),
+                                    pending_text_tokens=int(pend[i]) // 2) for i in range(n)}
+        pool = LoadIndex(load_key("image"), insts)
+        for inst in insts.values():
+            pool.add(inst)
         req = make_request(0, 0, n_images=1, model="internvl-26b")
         [(inst, _)] = route_image(req, pool, RouterKind.LEAST_PENDING, 8, {})
         expect = min(range(n), key=lambda i: (pend[i], i))

@@ -14,7 +14,6 @@ from lmmsim.core import (
     get_model_spec,
     image_tokens,
     load_model_specs,
-    request_totals,
     tile_count,
 )
 
@@ -64,12 +63,12 @@ class TestImageTokens:
 class TestRequestTotals:
     def test_text_only(self):
         r = Request(id=0, arrival_ms=0, text_tokens=100, images=(), output_tokens=1)
-        assert request_totals(r) == (100, 0, 100)
+        assert (r.text_tokens, r.total_image_tokens) == (100, 0)
 
     def test_single_image(self):
         img = ImageSpec.from_dims(896, 896, INTERNVL)
         r = Request(id=0, arrival_ms=0, text_tokens=0, images=(img,), output_tokens=1)
-        assert request_totals(r) == (0, 1280, 1280)
+        assert (r.text_tokens, r.total_image_tokens) == (0, 1280)
 
     def test_additivity(self):
         img = ImageSpec.from_dims(896, 896, INTERNVL)

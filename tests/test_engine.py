@@ -27,7 +27,6 @@ from lmmsim.policies import (
     ScalingDecision,
     SchedulerKind,
     Topology,
-    route_decode,
     route_image,
     route_text,
     schedule_order,
@@ -428,7 +427,7 @@ class TestLoadIndex:
             held = [(i, r) for i in insts for r in i.reserved]
             if held:
                 inst, r = held[n % len(held)]
-                sim._release(inst, r, *inst.reserved[r])
+                sim._release(inst, r)
                 sim._maybe_stop_drained(inst)
         elif kind == "admit":
             active = [i for i in insts if i.pool == "decode" and i.state is InstanceState.ACTIVE]
@@ -448,31 +447,30 @@ class TestLoadIndex:
                          if i.pool == pool and i.state is InstanceState.ACTIVE]
                   for pool in ("prefill", "image", "decode")}
         cro = MODELS[model].architecture is Architecture.CRO_ATTN
-        if router is RouterKind.ROUND_ROBIN:
-            for pool in ("prefill", "image"):
-                assert sim._candidates(pool) == active[pool]
-        else:
-            # The candidates are the whole pool, already in the routers' order.
-            keys = {"prefill": lambda i: (i.pending_text_tokens
-                                          + (0 if cro else i.pending_image_tokens), i.id),
-                    "image": lambda i: (i.pending_image_tokens, i.id),
-                    "decode": lambda i: (i.decode.load(), i.id)}
-            for pool, key in keys.items():
-                assert list(sim._candidates(pool)) == sorted(active[pool], key=key)
-            req = make_request(0, 0.0, n_images=8, model=model)
-            text = route_text(req, sim._candidates("prefill"), MODELS[model].architecture,
-                              router, {})
-            assert text is min(active["prefill"], key=lambda i: (
-                i.pending_text_tokens + (0 if cro else i.pending_image_tokens), i.id))
-            for n_images in (1, 3, 8):
-                req = make_request(0, 0.0, n_images=n_images, model=model)
-                fanout = min(n_images, sim.policies.max_fanout)
-                assignment = route_image(req, sim._candidates("image"), router,
-                                         sim.policies.max_fanout, {}) or []
-                by_load = sorted(active["image"], key=lambda i: (i.pending_image_tokens, i.id))
-                assert [inst for inst, _ in assignment] == by_load[:fanout]
-        decode = route_decode(sim._candidates("decode"))
-        assert decode is min(active["decode"], key=lambda i: (i.decode.load(), i.id))
+        keys = {"prefill": lambda i: (i.pending_text_tokens
+                                      + (0 if cro else i.pending_image_tokens), i.id),
+                "image": lambda i: (i.pending_image_tokens, i.id),
+                "decode": lambda i: (i.decode.load(), i.id)}
+        for pool, key in keys.items():
+            # The index holds the whole pool, in id order and in (load, id) order.
+            index = sim.load_index[pool]
+            assert index.active == active[pool]
+            assert index[:] == sorted(active[pool], key=key)
+        # Round-robin walks the pool in id order; least-pending takes the argmin.
+        expect = {pool: active[pool] if router is RouterKind.ROUND_ROBIN
+                  else sorted(active[pool], key=keys[pool]) for pool in ("prefill", "image")}
+        req = make_request(0, 0.0, n_images=8, model=model)
+        text = route_text(req, sim.load_index["prefill"], router, {})
+        assert text is expect["prefill"][0]
+        for n_images in (1, 3, 8):
+            req = make_request(0, 0.0, n_images=n_images, model=model)
+            fanout = min(n_images, sim.policies.max_fanout)
+            assignment = route_image(req, sim.load_index["image"], router,
+                                     sim.policies.max_fanout, {}) or []
+            assert [inst for inst, _ in assignment] == expect["image"][:fanout]
+        # Decode goes to the least-loaded instance whatever the router.
+        decode = sim.load_index["decode"][0]
+        assert decode is min(active["decode"], key=keys["decode"])
 
     @pytest.mark.parametrize("model,router", [
         ("llama3.2-11b", RouterKind.LEAST_PENDING),

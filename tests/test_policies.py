@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import MODELS, PROFILES, make_request, make_sim, make_slo
 from lmmsim.core import Architecture, StageKind, get_model_spec
+from lmmsim.engine import LoadIndex
 from lmmsim.experiment import build_simulation, config_from_dict, validate_config
 from lmmsim.policies import (
     AutoscalerKind,
@@ -22,6 +23,7 @@ from lmmsim.policies import (
     TokenAwareAutoscaler,
     Topology,
     initial_sizing,
+    load_key,
     place,
     route_image,
     route_text,
@@ -32,12 +34,15 @@ from lmmsim.policies import (
 from lmmsim.workload import WorkloadSummary
 
 
-def fake_pool(pendings):
-    """Instances with (text, image) pending token tuples, ids in list order."""
-    return [
-        SimpleNamespace(id=i, pending_text_tokens=t, pending_image_tokens=g)
-        for i, (t, g) in enumerate(pendings)
-    ]
+def fake_pool(pendings, role="image", architecture=None):
+    """The engine's load index over instances with (text, image) pending
+    token tuples, ids in list order, keyed for a pool playing ``role``."""
+    insts = [SimpleNamespace(id=i, pending_text_tokens=t, pending_image_tokens=g)
+             for i, (t, g) in enumerate(pendings)]
+    index = LoadIndex(load_key(role, architecture), {inst.id: inst for inst in insts})
+    for inst in insts:
+        index.add(inst)
+    return index
 
 
 class TestRouteImage:
@@ -74,7 +79,7 @@ class TestRouteImage:
 
     def test_empty_pool(self):
         req = make_request(0, 0, n_images=1)
-        assert route_image(req, [], RouterKind.LEAST_PENDING, 8, {}) is None
+        assert route_image(req, fake_pool([]), RouterKind.LEAST_PENDING, 8, {}) is None
 
     @given(
         pendings=st.lists(st.integers(0, 10_000), min_size=1, max_size=8),
@@ -92,21 +97,21 @@ class TestRouteImage:
 
 class TestRouteText:
     def test_dec_only_uses_total(self):
-        pool = fake_pool([(100, 900), (500, 0)])
+        pool = fake_pool([(100, 900), (500, 0)], "text", Architecture.DEC_ONLY)
         req = make_request(0, 0)
-        inst = route_text(req, pool, Architecture.DEC_ONLY, RouterKind.LEAST_PENDING, {})
+        inst = route_text(req, pool, RouterKind.LEAST_PENDING, {})
         assert inst.id == 1
 
     def test_cro_attn_uses_text_only(self):
-        pool = fake_pool([(100, 900), (500, 0)])
+        pool = fake_pool([(100, 900), (500, 0)], "text", Architecture.CRO_ATTN)
         req = make_request(0, 0)
-        inst = route_text(req, pool, Architecture.CRO_ATTN, RouterKind.LEAST_PENDING, {})
+        inst = route_text(req, pool, RouterKind.LEAST_PENDING, {})
         assert inst.id == 0
 
     def test_single_instance(self):
-        pool = fake_pool([(123, 456)])
+        pool = fake_pool([(123, 456)], "text", Architecture.DEC_ONLY)
         req = make_request(0, 0)
-        assert route_text(req, pool, Architecture.DEC_ONLY, RouterKind.LEAST_PENDING, {}).id == 0
+        assert route_text(req, pool, RouterKind.LEAST_PENDING, {}).id == 0
 
     @given(
         pendings=st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
@@ -115,9 +120,9 @@ class TestRouteText:
     )
     @settings(max_examples=200)
     def test_matches_argmin_oracle(self, pendings, arch):
-        pool = fake_pool(pendings)
+        pool = fake_pool(pendings, "text", arch)
         req = make_request(0, 0)
-        inst = route_text(req, pool, arch, RouterKind.LEAST_PENDING, {})
+        inst = route_text(req, pool, RouterKind.LEAST_PENDING, {})
         if arch is Architecture.DEC_ONLY:
             keyed = [(t + g, i) for i, (t, g) in enumerate(pendings)]
         else:
@@ -303,6 +308,18 @@ class TestAutoscaler:
         assert sim.max_batch["prefill"] == 8
         assert sim.autoscaler.max_batch == sim.max_batch
 
+    @pytest.mark.parametrize("model", ["llama3.2-11b", "internvl-26b"])
+    def test_colocated_prefill_pool_is_priced_as_a_monolith(self, model):
+        # Under monolith_pd the prefill pool runs the encoder too: the same
+        # work, priced and loaded as a monolith instance.
+        mono = _autoscaler(model, Topology.MONOLITH)
+        pd = _autoscaler(model, Topology.MONOLITH_PD)
+        for tp in MODELS[model].supported_tp_encoder:
+            assert pd._capacity("prefill", tp) == mono._capacity("monolith", tp)
+        window = LoadWindow(window_ms=300_000, image_token_rate=3_000.0,
+                            text_token_rate=5_000.0, output_token_rate=700.0)
+        assert pd._load("prefill", window) == mono._load("monolith", window) == 8_000.0
+
     def test_simulation_built_directly_scales(self):
         # A Simulation given a token_aware PolicySet builds its own autoscaler,
         # priced for the whole inventory, and ticks without being handed one.
@@ -322,7 +339,7 @@ class TestInitialSizing:
         tiles = 4
         assert profile.encode_latency(tiles, 1) == pytest.approx(800.0)
         summary = WorkloadSummary(
-            empty=False, n_requests=1000, median_image_qps=10.0,
+            empty=False, median_image_qps=10.0,
             median_images_per_request=4.0, median_image_tiles=float(tiles),
         )
         decision = initial_sizing(summary, profile, make_slo(model="internvl-26b"),

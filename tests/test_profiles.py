@@ -11,8 +11,8 @@ from lmmsim.profiles import (
     ProfileError,
     calibrate,
     default_profile,
+    batch_aware_capacity_tokens_per_s,
     load_calibration_targets,
-    max_capacity_tokens_per_s,
     predict_breakdown,
     predict_mixed_gain,
     steady_state_latency_ms,
@@ -164,25 +164,28 @@ class TestTbt:
         assert LLAMA_PROFILE.tbt_latency(1, 1) < LLAMA_PROFILE.tbt_latency(1, 8)
 
 
+def encode_capacity(tp: int, share_ms: float) -> float:
+    """Unbatched encode capacity under an SLO share: the batch-cap-1 price."""
+    service, job = INTERNVL_PROFILE.stage_job(StageKind.ENCODE, tp)
+    return batch_aware_capacity_tokens_per_s(service, job, share_ms - service, 1)
+
+
 class TestMaxCapacity:
     def test_monotone_in_slo_share(self):
-        a = INTERNVL_PROFILE.max_capacity(StageKind.ENCODE, 4, 1000)
-        b = INTERNVL_PROFILE.max_capacity(StageKind.ENCODE, 4, 2000)
-        assert b >= a
+        assert encode_capacity(4, 2000) >= encode_capacity(4, 1000)
 
     def test_big_encoder_gains_from_tp(self):
         share = 1250.0
-        assert INTERNVL_PROFILE.max_capacity(StageKind.ENCODE, 4, share) >= \
-            INTERNVL_PROFILE.max_capacity(StageKind.ENCODE, 1, share)
+        assert encode_capacity(4, share) >= encode_capacity(1, share)
 
     def test_infeasible_share_returns_zero(self):
         service, _ = INTERNVL_PROFILE.stage_job(StageKind.ENCODE, 4)
-        assert INTERNVL_PROFILE.max_capacity(StageKind.ENCODE, 4, service * 0.5) == 0.0
+        assert encode_capacity(4, service * 0.5) == 0.0
 
     @pytest.mark.parametrize("share_ms", [600.0, 1250.0, 5000.0])
     def test_matches_rate_scan_oracle(self, share_ms):
         service, job = INTERNVL_PROFILE.stage_job(StageKind.ENCODE, 4)
-        mc = max_capacity_tokens_per_s(service, job, share_ms)
+        mc = encode_capacity(4, share_ms)
         best = 0.0
         rate = 1.0
         while rate < 50_000:
@@ -197,9 +200,18 @@ class TestMaxCapacity:
     @settings(max_examples=30)
     def test_latency_at_capacity_meets_share(self, share_ms):
         service, job = INTERNVL_PROFILE.stage_job(StageKind.ENCODE, 4)
-        mc = max_capacity_tokens_per_s(service, job, share_ms)
+        mc = encode_capacity(4, share_ms)
         if mc > 0:
             assert steady_state_latency_ms(service, job, mc) <= share_ms * (1 + 1e-9)
+
+    @given(service=st.floats(0.01, 10_000), job=st.integers(1, 100_000),
+           slack=st.floats(-1_000, 100_000), cap=st.integers(2, 128))
+    @settings(max_examples=200)
+    def test_batching_never_prices_above_cap_one(self, service, job, slack, cap):
+        # Batched jobs finish with their batch, so a batch cap above 1 can
+        # only lengthen the effective job and lower the sustainable rate.
+        assert batch_aware_capacity_tokens_per_s(service, job, slack, cap) <= \
+            batch_aware_capacity_tokens_per_s(service, job, slack, 1)
 
 
 class TestDerivedSloBases:
