@@ -366,6 +366,9 @@ class MetricsLog:
         self.scale_events: list[dict] = []
         self.arrived = 0
         self.completed = 0
+        # When a run ended before its horizon because a miss budget was
+        # exceeded (Simulation.stop_when_missed); None for a full run.
+        self.stopped_ms: float | None = None
 
     @property
     def in_flight(self) -> int:
@@ -491,6 +494,7 @@ class Simulation:
         self.requests: dict[int, Request] = {}
         self.shards_pending: dict[int, int] = {}
         self.log = MetricsLog(horizon_ms, seed)
+        self._miss_budget: dict[str, int] | None = None  # see stop_when_missed
         self._pool_tp = {entry.pool: entry.tp for entry in instance_plan}
         self._step_latency = functools.cache(profile.tbt_latency)  # (batch, tp) -> decode step ms
         # One load index per routed pool, keyed by the load its router uses.
@@ -594,10 +598,27 @@ class Simulation:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
+    def stop_when_missed(self, budgets: dict[str, int], after_ms: float) -> None:
+        """End the run once a group's SLO misses exceed its budget.
+
+        The groups are "text-only" and "image-text" (TTFT over its SLO) and
+        "tbt" (TBT P99 over its SLO). Misses are counted as requests that
+        arrived at or after ``after_ms`` complete. The run ends at the next
+        event and its log's ``stopped_ms`` says when; the partial log means
+        nothing beyond the exceeded budget.
+        """
+        self._miss_budget = dict(budgets)
+        self._misses = dict.fromkeys(budgets, 0)
+        self._miss_after_ms = after_ms
+
+    def _missed(self, group: str) -> None:
+        self._misses[group] += 1
+        if self._misses[group] > self._miss_budget[group]:
+            self.log.stopped_ms = self.now
+            self._stop_ms = -math.inf  # the loop's next pop ends the run
+
     def run(self) -> MetricsLog:
-        for idx, req in enumerate(self.workload):
-            if req.arrival_ms <= self.horizon_ms:
-                self._push(req.arrival_ms, EV_ARRIVAL, idx)
+        self._push_arrival(0)
         if self.autoscaler is not None:
             self._push(self.scale_interval_ms, EV_SCALE_TICK)
 
@@ -611,18 +632,19 @@ class Simulation:
             EV_ARRIVAL: self._on_arrival,
             EV_SCALE_TICK: self._on_scale_tick,
         }
-        reached_horizon = False
+        self._stop_ms = self.horizon_ms
+        reached_stop = False
         while self.heap:
             time_ms, kind, _seq, data = heapq.heappop(self.heap)
-            if time_ms > self.horizon_ms:
-                reached_horizon = True
+            if time_ms > self._stop_ms:
+                reached_stop = True
                 break
             self.now = time_ms
             handlers[kind](data)
             if self.validate:
                 self._check_invariants()
 
-        if not reached_horizon and self.log.in_flight:
+        if not reached_stop and self.log.in_flight and self.log.stopped_ms is None:
             raise SimulationError(self._deadlock_dump())
         self.now = self.horizon_ms
         self._allocation_changed()
@@ -640,7 +662,14 @@ class Simulation:
     # ------------------------------------------------------------------
     # Arrival and routing
     # ------------------------------------------------------------------
+    def _push_arrival(self, idx: int) -> None:
+        """Push the ``idx``-th arrival if it is within the horizon. Each
+        arrival pushes the next as it is handled, so the heap holds one."""
+        if idx < len(self.workload) and self.workload[idx].arrival_ms <= self.horizon_ms:
+            self._push(self.workload[idx].arrival_ms, EV_ARRIVAL, idx)
+
     def _on_arrival(self, idx: int) -> None:
+        self._push_arrival(idx + 1)
         req = self.workload[idx]
         self.requests[req.id] = req
         rec = RequestRecord(
@@ -871,6 +900,11 @@ class Simulation:
         ttft_ok = rec.ttft_ms is not None and rec.ttft_ms <= rec.ttft_slo_ms
         tbt_ok = rec.tbt_p99_ms is None or rec.tbt_p99_ms <= rec.tbt_slo_ms
         rec.slo_ok = bool(ttft_ok and tbt_ok)
+        if self._miss_budget is not None and rec.arrival_ms >= self._miss_after_ms:
+            if not ttft_ok:
+                self._missed(rec.modality)
+            if not tbt_ok:
+                self._missed("tbt")
         self.log.completed += 1
         self._win_completed += 1
         self._win_slo_ok += int(rec.slo_ok)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import islice
@@ -31,6 +31,7 @@ from .metrics import (
     CapacityResult,
     cost_summary,
     max_throughput,
+    miss_budget,
     overall_attainment,
     slo_attainment,
     summarize_latency,
@@ -463,11 +464,15 @@ def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
     return summary
 
 
+# Worker processes of a pool; a capacity probe keeps at most this many seeds running.
+_POOL_WORKERS = max(1, min(os.cpu_count() or 1, 8))
+
+
 def _pool(n_jobs: int, parallel: bool = True):
     """A process pool for batches of ``n_jobs`` jobs, or a null context (no
     pool) when there is only one job at a time to run."""
     if parallel and n_jobs > 1:
-        return ProcessPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, 8)))
+        return ProcessPoolExecutor(max_workers=_POOL_WORKERS)
     return contextlib.nullcontext()
 
 
@@ -526,7 +531,20 @@ def aggregate_summaries(results: list[dict]) -> dict:
 # Capacity search
 # ----------------------------------------------------------------------
 def _capacity_probe_worker(exp: Experiment, seed: int, rate: float, horizon_ms: float) -> dict:
-    log = build_simulation(exp, seed, rate_multiplier=rate, horizon_ms=horizon_ms).run()
+    sim = build_simulation(exp, seed, rate_multiplier=rate, horizon_ms=horizon_ms)
+    # A group's P99 fails once more of its post-warm-up arrivals (the
+    # workload ends at the horizon) miss than the P99 of all of them could
+    # absorb; completions never undo a miss, so the run stops there with
+    # the verdict a full run would give.
+    cutoff = exp.warmup_fraction * horizon_ms
+    counted = [r.is_multimodal for r in sim.workload if r.arrival_ms >= cutoff]
+    n_image = sum(counted)
+    sim.stop_when_missed({"text-only": miss_budget(len(counted) - n_image, 0.99),
+                          "image-text": miss_budget(n_image, 0.99),
+                          "tbt": miss_budget(len(counted), 0.99)}, cutoff)
+    log = sim.run()
+    if log.stopped_ms is not None:
+        return {"seed": seed, "ok": False, "stopped_ms": log.stopped_ms}
     latency = summarize_latency(log, exp.warmup_fraction)
     checks = {}
     for group, multimodal in (("text-only", False), ("image-text", True)):
@@ -543,8 +561,9 @@ def _capacity_probe_worker(exp: Experiment, seed: int, rate: float, horizon_ms: 
 def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
     """Largest request rate (req/s) meeting tail SLOs, via bisection.
 
-    Each probe simulates each capacity seed once; runs are deterministic,
-    so a repeated seed would add nothing.
+    Each probe simulates each capacity seed at most once; runs are
+    deterministic, so a repeated seed would add nothing. A probe passes when
+    every seed passes, so it starts no further seed once one has failed.
     """
     exp = validate_config(cfg)
     lo, hi, rel_tol, horizon, seeds = exp.capacity
@@ -552,8 +571,18 @@ def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
 
     with _pool(len(seeds)) as pool:
         def probe(multiplier: float) -> bool:
-            jobs = [(exp, s, multiplier, horizon) for s in seeds]
-            return all(r["ok"] for r in _map(_capacity_probe_worker, jobs, pool))
+            jobs = ((exp, s, multiplier, horizon) for s in seeds)
+            if pool is None:
+                return all(_capacity_probe_worker(*job)["ok"] for job in jobs)
+            running = {pool.submit(_capacity_probe_worker, *job) for job in islice(jobs, _POOL_WORKERS)}
+            ok = True
+            while running:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                ok = all([f.result()["ok"] for f in done]) and ok
+                if ok:  # refill the freed workers
+                    running |= {pool.submit(_capacity_probe_worker, *job)
+                                for job in islice(jobs, len(done))}
+            return ok
 
         result = max_throughput(probe, lo, hi, rel_tol=rel_tol)
     return CapacityResult(

@@ -23,6 +23,16 @@ def quantile(values, q: float) -> float:
     return ordered[idx]
 
 
+def miss_budget(n: int, q: float) -> int:
+    """The most of ``n`` values that may exceed a limit while ``quantile(values, q)`` stays within it.
+
+    It never falls as ``n`` grows, so once more than ``miss_budget(N, q)``
+    values exceed the limit, the quantile of any superset of at most ``N``
+    values does too.
+    """
+    return n - math.ceil(q * n)
+
+
 @dataclass
 class MetricStats:
     count: int = 0

@@ -164,6 +164,8 @@ def sample_power_law(rng: np.random.Generator, alpha: float, lo: int, hi: int, s
     """Pareto samples with density exponent alpha, clamped to [lo, hi]."""
     u = rng.random(size)
     x = lo * u ** (-1.0 / (alpha - 1.0))
+    if size is None:
+        return min(max(x, lo), hi)  # np.clip on a Python float costs ~10x more
     return np.clip(x, lo, hi)
 
 
@@ -227,10 +229,10 @@ def generate(cfg: GeneratorConfig, horizon_ms: float) -> list[Request]:
                     n_images = min(16, max(1, int(round(n_images * img_mult))))
                 images = []
                 for _ in range(n_images):
-                    w = int(np.clip(cfg.image_dim_median_px * math.exp(rng.normal(0.0, cfg.image_dim_sigma)),
-                                    cfg.image_dim_min_px, cfg.image_dim_max_px))
-                    h = int(np.clip(cfg.image_dim_median_px * math.exp(rng.normal(0.0, cfg.image_dim_sigma)),
-                                    cfg.image_dim_min_px, cfg.image_dim_max_px))
+                    w = int(min(max(cfg.image_dim_median_px * math.exp(rng.normal(0.0, cfg.image_dim_sigma)),
+                                        cfg.image_dim_min_px), cfg.image_dim_max_px))
+                    h = int(min(max(cfg.image_dim_median_px * math.exp(rng.normal(0.0, cfg.image_dim_sigma)),
+                                        cfg.image_dim_min_px), cfg.image_dim_max_px))
                     images.append(ImageSpec.from_dims(w, h, cfg.model))
                 img_tokens = sum(i.image_tokens for i in images)
                 # Total prompt length follows its own power law; text absorbs
@@ -244,8 +246,8 @@ def generate(cfg: GeneratorConfig, horizon_ms: float) -> list[Request]:
                 text_tokens = int(round(float(sample_power_law(rng, cfg.text_len_alpha,
                                                                cfg.text_len_min, cfg.text_len_max))))
                 service = "chat"
-            out = int(np.clip(cfg.output_len_median * math.exp(rng.normal(0.0, cfg.output_len_sigma)),
-                              1, cfg.output_len_max))
+            out = int(min(max(cfg.output_len_median * math.exp(rng.normal(0.0, cfg.output_len_sigma)),
+                              1), cfg.output_len_max))
             requests.append(
                 Request(
                     id=rid,

@@ -1,11 +1,23 @@
+import contextlib
+import functools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lmmsim import experiment
 from lmmsim.cli import main
 from lmmsim.engine import Simulation
-from lmmsim.experiment import config_from_dict, run_capacity
+from lmmsim.experiment import (
+    _capacity_probe_worker,
+    build_simulation,
+    config_from_dict,
+    run_capacity,
+    validate_config,
+)
+from lmmsim.metrics import miss_budget
 
 BASE_CONFIG = {
     "model": "internvl-26b",
@@ -177,6 +189,100 @@ class TestCapacity:
         result = run_capacity(config_from_dict(raw, tmp_path))
         assert result.probes
         assert seeds_run == [1] * len(result.probes)
+
+    # One 8-GPU server's pools under each topology.
+    POOLS = {
+        "monolith": {"monolith": {"count": 2, "tp": 4}},
+        "decoupled": {"text": {"count": 1, "tp": 4}, "image": {"count": 4, "tp": 1}},
+        "decoupled_pd": {"prefill": {"count": 1, "tp": 2}, "decode": {"count": 1, "tp": 2},
+                         "image": {"count": 4, "tp": 1}},
+        "monolith_pd": {"prefill": {"count": 1, "tp": 4}, "decode": {"count": 1, "tp": 4}},
+    }
+
+    @given(topology=st.sampled_from(sorted(POOLS)),
+           router=st.sampled_from(["least_pending", "round_robin"]),
+           scheduler=st.sampled_from(["fifo", "slo_priority"]),
+           max_batch=st.sampled_from([{"encode": 1, "prefill": 1, "decode": 64},
+                                      {"encode": 8, "prefill": 4, "decode": 8}]),
+           slo_factor=st.sampled_from([3.0, 8.0, 16.0]),
+           rate_multiplier=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+           seed=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_early_verdict_equals_full_run(self, topology, router, scheduler, max_batch,
+                                           slo_factor, rate_multiplier, seed):
+        raw = {**BASE_CONFIG, "topology": topology, "instances": self.POOLS[topology],
+               "policies": {"router": router, "scheduler": scheduler}, "max_batch": max_batch,
+               "slo": {"slo_factor": slo_factor}}
+        exp = validate_config(config_from_dict(raw))
+        early = _capacity_probe_worker(exp, seed, rate_multiplier, 20_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Simulation, "stop_when_missed", lambda *_: None)
+            full = _capacity_probe_worker(exp, seed, rate_multiplier, 20_000)
+        assert "stopped_ms" not in full
+        assert early["ok"] == full["ok"]
+
+    def test_stops_at_the_miss_over_budget(self):
+        # 60 s at 4 req/s under a tight SLO: every group misses many times.
+        exp = validate_config(config_from_dict({**BASE_CONFIG, "slo": {"slo_factor": 1.5}}))
+        horizon = 60_000
+        cutoff = exp.warmup_fraction * horizon
+        full = build_simulation(exp, 1, 2.0, horizon).run()
+        kept = [r for r in full.completed_records() if r.arrival_ms >= cutoff]
+        missed = {
+            "text-only": [r for r in kept if not r.multimodal and r.ttft_ms > r.ttft_slo_ms],
+            "image-text": [r for r in kept if r.multimodal and r.ttft_ms > r.ttft_slo_ms],
+            "tbt": [r for r in kept if r.tbt_p99_ms is not None and r.tbt_p99_ms > r.tbt_slo_ms],
+        }
+        never = dict.fromkeys(missed, len(full.records))
+        for group, records in missed.items():
+            times = sorted(r.completion_ms for r in records)
+            assert len(times) >= 2, group
+            for budget in (0, 1, len(times) - 1, len(times)):
+                sim = build_simulation(exp, 1, 2.0, horizon)
+                sim.stop_when_missed({**never, group: budget}, cutoff)
+                log = sim.run()
+                if budget < len(times):
+                    assert log.stopped_ms == times[budget], (group, budget)
+                else:
+                    assert log.stopped_ms is None
+                    assert ([(r.request_id, r.completion_ms) for r in log.records.values()]
+                            == [(r.request_id, r.completion_ms) for r in full.records.values()])
+
+    def test_stopped_probe_keeps_invariants(self, monkeypatch):
+        runs, budgets = [], []
+        run, stop = Simulation.run, Simulation.stop_when_missed
+        monkeypatch.setattr(Simulation, "run", lambda sim: runs.append((sim, run(sim))) or runs[-1][1])
+        monkeypatch.setattr(Simulation, "stop_when_missed",
+                            lambda sim, b, after: budgets.append((b, after)) or stop(sim, b, after))
+        monkeypatch.setattr(experiment, "build_simulation",
+                            functools.partial(experiment.build_simulation, validate=True))
+        exp = validate_config(config_from_dict(BASE_CONFIG))
+        result = _capacity_probe_worker(exp, 1, 2.0, 60_000)
+        ((sim, log),) = runs
+        assert not result["ok"] and result["stopped_ms"] == log.stopped_ms < 60_000
+        assert log.completed >= 1
+        assert len(log.records) == log.arrived
+        # Arrivals after the stop were never simulated.
+        assert max(r.arrival_ms for r in log.records.values()) <= log.stopped_ms
+        # Each group's budget is taken over all its post-warm-up arrivals.
+        counted = [r for r in sim.workload if r.arrival_ms >= 6_000]
+        image = sum(r.is_multimodal for r in counted)
+        assert budgets == [({"text-only": miss_budget(len(counted) - image, 0.99),
+                             "image-text": miss_budget(image, 0.99),
+                             "tbt": miss_budget(len(counted), 0.99)}, 6_000)]
+        assert budgets[0][0]["text-only"] != budgets[0][0]["image-text"]
+
+    def test_seed_scheduling_cannot_change_the_answer(self, monkeypatch):
+        # At slo_factor 8, seed 1 fails four of the probes that seeds 2 and 3
+        # pass; with two workers, seed 3 then never starts.
+        raw = {**BASE_CONFIG, "horizon_ms": 20_000, "slo": {"slo_factor": 8.0},
+               "capacity": {"lo_multiplier": 0.25, "hi_multiplier": 1.0, "seeds": [1, 2, 3]}}
+        monkeypatch.setattr(experiment, "_POOL_WORKERS", 2)
+        pooled = run_capacity(config_from_dict(raw))
+        monkeypatch.setattr(experiment, "_pool", lambda *_: contextlib.nullcontext())
+        in_process = run_capacity(config_from_dict(raw))
+        assert pooled == in_process
+        assert [ok for _, ok in pooled.probes].count(False) == 4
 
     def test_inverted_bracket_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

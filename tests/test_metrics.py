@@ -10,6 +10,7 @@ from lmmsim.metrics import (
     AttainmentWindow,
     cost_summary,
     max_throughput,
+    miss_budget,
     overall_attainment,
     quantile,
     slo_attainment,
@@ -67,6 +68,20 @@ class TestQuantile:
     def test_monotone_in_q(self, values):
         p50, p90, p99 = (quantile(values, q) for q in (0.5, 0.9, 0.99))
         assert p50 <= p90 <= p99
+
+
+class TestMissBudget:
+    def test_decides_the_p99_exactly(self):
+        # The P99 exceeds a limit iff more than miss_budget(n) values do.
+        for n in range(1, 5001):
+            b = miss_budget(n, 0.99)
+            for misses in range(max(0, b - 1), min(n, b + 2) + 1):
+                values = [1.0] * (n - misses) + [3.0] * misses
+                assert (quantile(values, 0.99) > 2.0) == (misses > b), (n, misses)
+
+    def test_never_falls_as_n_grows(self):
+        budgets = [miss_budget(n, 0.99) for n in range(100_001)]
+        assert all(a <= b for a, b in zip(budgets, budgets[1:]))
 
 
 class TestSummarizeLatency:
