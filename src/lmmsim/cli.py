@@ -14,6 +14,7 @@ from .experiment import (
     run_capacity,
     run_experiment,
     run_sweep,
+    seed_list,
 )
 from .profiles import (
     CalibrationError,
@@ -29,10 +30,15 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _parse_seeds(text: str | None):
-    if not text:
+def _parse_seeds(text: str | None) -> list[int] | None:
+    """The ``--seeds`` list, checked as the config's ``seeds`` is; None when not given."""
+    if text is None:
         return None
-    return [int(s) for s in text.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError("--seeds", f"must be comma-separated integers, got {text!r}")
+    return seed_list(seeds, "--seeds")
 
 
 def cmd_simulate(args) -> int:

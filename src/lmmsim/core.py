@@ -89,7 +89,7 @@ class ImageSpec:
         return cls(width_px, height_px, tiles, tiles * spec.tokens_per_tile)
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One inference job flowing through the simulated cluster."""
 
@@ -99,22 +99,19 @@ class Request:
     images: tuple[ImageSpec, ...]
     output_tokens: int
     service_id: str = "default"
+    # Derived from ``images``, a tuple that nothing reassigns, so they are
+    # set once here and read as plain slots on the event path;
+    # ``dataclasses.replace`` builds a new request and derives them again.
     total_image_tokens: int = field(init=False, repr=False, compare=False)
+    is_multimodal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.text_tokens < 0:
             raise SpecError(f"request {self.id}: text_tokens must be >= 0")
         if self.output_tokens < 1:
             raise SpecError(f"request {self.id}: output_tokens must be >= 1")
-        # ``images`` is a tuple that nothing reassigns, so the sum is fixed.
-        # Set during __init__: an attribute added later (as cached_property
-        # does) turns the instance's inline attributes into a dict, which
-        # makes every attribute read of the request slower.
         self.total_image_tokens = sum(img.image_tokens for img in self.images)
-
-    @property
-    def is_multimodal(self) -> bool:
-        return len(self.images) > 0
+        self.is_multimodal = len(self.images) > 0
 
 
 @dataclass(frozen=True)

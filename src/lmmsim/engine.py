@@ -72,17 +72,22 @@ def sample_transfer_ms(medium: TransferMedium, rng: np.random.Generator) -> floa
 # ----------------------------------------------------------------------
 # Work items and batch formation
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class WorkItem:
+    """One stage of one request (or one image shard of it) on a batch lane.
+
+    It carries its request and that request's record, so a lane reaches
+    both without a lookup by id.
+    """
+
     seq: int
-    request_id: int
     stage: StageKind
     size_tokens: int
     tiles: int
     enqueue_ms: float
     ttft_slo_ms: float
-    text_tokens: int = 0
-    image_tokens: int = 0
+    req: Request
+    rec: RequestRecord
     shard_images: tuple = ()
     shard_id: int = 0
 
@@ -175,10 +180,12 @@ class DecodeLane:
     def pop_finished(self, now: float) -> list[tuple[int, list]]:
         """Advance to ``now``, pop the finished as (rid, TBT samples), refill from the queue."""
         self.advance(now)
-        heap, served, touched, done = self.heap, self.served, self.touched, []
-        while heap and self.remaining(heap[0]) <= _EPS:
+        heap, members, served, touched, done = self.heap, self.members, self.served, self.touched, []
+        progress, frac = self.progress, self.frac
+        # ``remaining`` inlined: the same float expression, against the clock just advanced.
+        while heap and (heap[0][0] - progress) + (heap[0][1] - frac) <= _EPS:
             rid = _heappop(heap)[2]
-            joined, since, tbt = self.members.pop(rid)
+            joined, since, tbt = members.pop(rid)
             for step, tick in reversed(touched.items()):
                 if tick <= since:
                     break
@@ -218,9 +225,11 @@ class Lane:
 
 
 class Instance:
-    def __init__(self, inst_id: int, pool: str, tp: int, server_id: int, cpu_cores: int, decode: DecodeLane):
+    def __init__(self, inst_id: int, pool: str, tp: int, server_id: int, cpu_cores: int,
+                 decode: DecodeLane, index: LoadIndex | None):
         self.id = inst_id
         self.pool = pool  # image | text | prefill | decode | monolith
+        self.index = index  # the pool's load index; None if the pool is not routed
         self.tp = tp
         self.server_id = server_id
         self.cpu_cores = cpu_cores
@@ -311,7 +320,7 @@ class InstancePlan:
 # ----------------------------------------------------------------------
 # Per-request accounting
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     request_id: int
     service_id: str
@@ -402,19 +411,21 @@ class MetricsLog:
                             else int(x) if isinstance(x, bool) else x for x in row(rec)])
 
 
+_weight = operator.itemgetter(1)
+
+
 def weighted_quantile(pairs: list[tuple[float, float]], q: float) -> float:
     """Nearest-rank (lower) quantile over weighted samples."""
-    if not pairs:
-        return 0.0
+    if len(pairs) < 2:  # the one value is every quantile
+        return pairs[0][0] if pairs else 0.0
     ordered = sorted(pairs)
-    total = sum(w for _, w in ordered)
-    target = q * total
+    target = q * sum(map(_weight, ordered)) - 1e-12
     acc = 0.0
     for value, w in ordered:
         acc += w
-        if acc >= target - 1e-12:
+        if acc >= target:
             return value
-    return ordered[-1][0]
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -460,6 +471,9 @@ class Simulation:
         self.model = model
         self.profile = profile
         self.slo = slo
+        # The SLO targets, indexed by Request.is_multimodal for TTFT.
+        self._ttft_slo_ms = (slo.ttft_slo_ms(False), slo.ttft_slo_ms(True))
+        self._tbt_slo_ms = slo.tbt_slo_ms
         self.policies = policies
         self.roles = POOL_ROLES[policies.topology]
         self.servers = {s.server_id: s for s in servers}
@@ -489,9 +503,8 @@ class Simulation:
         # Image-bearing requests that found no active image instance, in
         # arrival order; routed again when an instance starts. Text-family
         # pools always keep an active instance, so nothing waits for them.
-        self.image_waiting: list[Request] = []
+        self.image_waiting: list[tuple[Request, RequestRecord]] = []
         self.rr_state: dict[str, int] = {}
-        self.requests: dict[int, Request] = {}
         self.shards_pending: dict[int, int] = {}
         self.log = MetricsLog(horizon_ms, seed)
         self._miss_budget: dict[str, int] | None = None  # see stop_when_missed
@@ -532,7 +545,8 @@ class Simulation:
         server = self.servers[server_id]
         cores = max(1, server.cpu_cores * tp // server.gpus)
         lane = DecodeLane(self.max_batch["decode"], functools.partial(self._step_latency, tp=tp))
-        inst = Instance(self._next_instance_id, pool, tp, server_id, cores, lane)
+        inst = Instance(self._next_instance_id, pool, tp, server_id, cores, lane,
+                        self.load_index.get(pool))
         self._next_instance_id += 1
         self.instances[inst.id] = inst
         if starting:
@@ -544,7 +558,7 @@ class Simulation:
     def _set_state(self, inst: Instance, state: InstanceState) -> None:
         """Every state change goes through here, so each load index holds
         exactly the ACTIVE instances of its pool."""
-        index = self.load_index.get(inst.pool)
+        index = inst.index
         active = InstanceState.ACTIVE
         if index is not None and (inst.state is active) != (state is active):
             if state is active:
@@ -577,14 +591,14 @@ class Simulation:
         self._win_completed = 0
         self._win_slo_ok = 0
         # Queueing delay of the stages the autoscaler weighs; preprocess is not one.
-        self._win_wait = {"encode": [0.0, 0], "prefill": [0.0, 0]}
+        self._win_wait = {StageKind.ENCODE: [0.0, 0], StageKind.PREFILL: [0.0, 0]}
 
     # ------------------------------------------------------------------
     # Pools and routing
     # ------------------------------------------------------------------
     def _reindex(self, inst: Instance) -> None:
         """Re-sort an instance in its pool's load index after its load changed."""
-        index = self.load_index.get(inst.pool)
+        index = inst.index
         if index is not None and inst.state is InstanceState.ACTIVE:
             index.update(inst)
 
@@ -634,14 +648,15 @@ class Simulation:
         }
         self._stop_ms = self.horizon_ms
         reached_stop = False
-        while self.heap:
-            time_ms, kind, _seq, data = heapq.heappop(self.heap)
+        heap, validate = self.heap, self.validate
+        while heap:
+            time_ms, kind, _seq, data = heapq.heappop(heap)
             if time_ms > self._stop_ms:
                 reached_stop = True
                 break
             self.now = time_ms
             handlers[kind](data)
-            if self.validate:
+            if validate:
                 self._check_invariants()
 
         if not reached_stop and self.log.in_flight and self.log.stopped_ms is None:
@@ -671,18 +686,18 @@ class Simulation:
     def _on_arrival(self, idx: int) -> None:
         self._push_arrival(idx + 1)
         req = self.workload[idx]
-        self.requests[req.id] = req
+        multimodal = req.is_multimodal
         rec = RequestRecord(
             request_id=req.id,
             service_id=req.service_id,
-            multimodal=req.is_multimodal,
+            multimodal=multimodal,
             arrival_ms=req.arrival_ms,
             text_tokens=req.text_tokens,
             image_tokens=req.total_image_tokens,
             output_tokens=req.output_tokens,
             n_images=len(req.images),
-            ttft_slo_ms=self.slo.ttft_slo_ms(req.is_multimodal),
-            tbt_slo_ms=self.slo.tbt_slo_ms,
+            ttft_slo_ms=self._ttft_slo_ms[multimodal],
+            tbt_slo_ms=self._tbt_slo_ms,
         )
         self.log.records[req.id] = rec
         self.log.arrived += 1
@@ -690,33 +705,33 @@ class Simulation:
         self._win_image_tokens += req.total_image_tokens
         self._win_output_tokens += req.output_tokens
 
-        if req.is_multimodal and not self.roles.colocated_encoder:
-            self._route_to_image_pool(req)
+        if multimodal and not self.roles.colocated_encoder:
+            self._route_to_image_pool(req, rec)
         else:
-            self._route_to_text_pool(req)
+            self._route_to_text_pool(req, rec)
 
-    def _route_to_image_pool(self, req: Request) -> None:
+    def _route_to_image_pool(self, req: Request, rec: RequestRecord) -> None:
         assignment = pol.route_image(req, self.load_index[self.roles.image_entry],
                                      self.policies.router, self.policies.max_fanout, self.rr_state)
         if assignment is None:
-            self.image_waiting.append(req)
+            self.image_waiting.append((req, rec))
             return
         self.shards_pending[req.id] = len(assignment)
         for shard_id, (inst, image_idx) in enumerate(assignment):
-            self._enqueue_shard(inst, req, image_idx, shard_id, reserve=True)
+            self._enqueue_shard(inst, req, rec, image_idx, shard_id, reserve=True)
 
-    def _route_to_text_pool(self, req: Request) -> None:
+    def _route_to_text_pool(self, req: Request, rec: RequestRecord) -> None:
         """Reserve a text instance: on arrival, or once a request's images are encoded."""
         inst = pol.route_text(req, self.load_index[self.roles.text], self.policies.router, self.rr_state)
         self._reserve(inst, req.id, req.text_tokens, req.total_image_tokens)
         if not req.is_multimodal:
-            self._enqueue_prefill(inst, req)
+            self._enqueue_prefill(inst, req, rec)
         elif self.roles.colocated_encoder:
             # The whole pipeline runs on this one instance.
-            self._enqueue_shard(inst, req, list(range(len(req.images))), 0, reserve=False)
+            self._enqueue_shard(inst, req, rec, list(range(len(req.images))), 0, reserve=False)
         else:
             delay = sample_transfer_ms(self.transfer_medium, self.rng)
-            self._push(self.now + delay, EV_TRANSFER_DONE, (req.id, inst.id))
+            self._push(self.now + delay, EV_TRANSFER_DONE, (req, rec, inst))
 
     def _route_to_decode_pool(self, req: Request, steps: int) -> None:
         target = self.load_index[self.roles.decode][0]  # least loaded, whatever the router
@@ -725,10 +740,9 @@ class Simulation:
         self._push(self.now + delay, EV_DECODE_ARRIVAL, (req.id, target.id, steps))
 
     def _on_transfer_done(self, data) -> None:
-        rid, inst_id = data
-        req = self.requests[rid]
-        self.log.records[rid].transfer_end_ms = self.now
-        self._enqueue_prefill(self.instances[inst_id], req)
+        req, rec, inst = data
+        rec.transfer_end_ms = self.now
+        self._enqueue_prefill(inst, req, rec)
 
     # ------------------------------------------------------------------
     # Pending-token reservations
@@ -751,41 +765,34 @@ class Simulation:
     # ------------------------------------------------------------------
     # Batch lanes: CPU (preprocess) and GPU (encode + prefill)
     # ------------------------------------------------------------------
-    def _new_item(self, req: Request, stage: StageKind, tiles: int, image_idx=(),
-                  shard_id: int = 0) -> WorkItem:
+    def _new_item(self, req: Request, rec: RequestRecord, stage: StageKind, tiles: int,
+                  image_idx=(), shard_id: int = 0) -> WorkItem:
         self._next_item_seq += 1
-        img_tokens = tiles * self.model.tokens_per_tile
-        return WorkItem(
-            seq=self._next_item_seq,
-            request_id=req.id,
-            stage=stage,
-            size_tokens=img_tokens if stage in (StageKind.PREPROCESS, StageKind.ENCODE)
-            else req.text_tokens + req.total_image_tokens,
-            tiles=tiles,
-            enqueue_ms=self.now,
-            ttft_slo_ms=self.slo.ttft_slo_ms(req.is_multimodal),
-            text_tokens=req.text_tokens,
-            image_tokens=req.total_image_tokens,
-            shard_images=tuple(image_idx),
-            shard_id=shard_id,
-        )
+        size = (req.text_tokens + req.total_image_tokens if stage is StageKind.PREFILL
+                else tiles * self.model.tokens_per_tile)
+        return WorkItem(self._next_item_seq, stage, size, tiles, self.now,
+                        self._ttft_slo_ms[req.is_multimodal], req, rec, tuple(image_idx), shard_id)
 
-    def _enqueue_shard(self, inst: Instance, req: Request, image_idx: list[int],
-                       shard_id: int, reserve: bool) -> None:
+    def _enqueue_shard(self, inst: Instance, req: Request, rec: RequestRecord,
+                       image_idx: list[int], shard_id: int, reserve: bool) -> None:
         tiles = sum(req.images[k].tiles for k in image_idx)
         if reserve:
             self._reserve(inst, req.id, 0, tiles * self.model.tokens_per_tile)
-        inst.cpu.queue.append(self._new_item(req, StageKind.PREPROCESS, tiles, image_idx, shard_id))
+        inst.cpu.queue.append(self._new_item(req, rec, StageKind.PREPROCESS, tiles, image_idx, shard_id))
         self._dispatch(inst, inst.cpu)
 
-    def _enqueue_prefill(self, inst: Instance, req: Request) -> None:
-        inst.gpu.queue.append(self._new_item(req, StageKind.PREFILL, 0))
+    def _enqueue_prefill(self, inst: Instance, req: Request, rec: RequestRecord) -> None:
+        inst.gpu.queue.append(self._new_item(req, rec, StageKind.PREFILL, 0))
         self._dispatch(inst, inst.gpu)
 
     def _service_ms(self, inst: Instance, batch: list[WorkItem]) -> float:
         stage, p = batch[0].stage, self.profile
         if stage is StageKind.PREFILL:
-            return sum(p.prefill_latency(it.text_tokens, it.image_tokens, inst.tp) for it in batch)
+            if len(batch) == 1:
+                req = batch[0].req
+                return p.prefill_latency(req.text_tokens, req.total_image_tokens, inst.tp)
+            return sum(p.prefill_latency(it.req.text_tokens, it.req.total_image_tokens, inst.tp)
+                       for it in batch)
         tiles = sum(it.tiles for it in batch)
         if stage is StageKind.ENCODE:
             return p.encode_latency(tiles, inst.tp)
@@ -801,12 +808,12 @@ class Simulation:
         stage = batch[0].stage
         start, _, shard_start, _ = _STAMPS[stage]
         for it in batch:
-            rec = self.log.records[it.request_id]
+            rec = it.rec
             if getattr(rec, start) is None:
                 setattr(rec, start, now)
             if shard_start:
                 rec.shards.setdefault(it.shard_id, {})[shard_start] = now
-        wait = self._win_wait.get(stage.value)
+        wait = self._win_wait.get(stage)
         if wait is not None:
             for it in batch:
                 wait[0] += now - it.enqueue_ms
@@ -819,43 +826,46 @@ class Simulation:
         lane.busy = False
         stage = batch[0].stage
         _, end, _, shard_end = _STAMPS[stage]
+        now = self.now
         for it in batch:
-            req, rec = self.requests[it.request_id], self.log.records[it.request_id]
-            setattr(rec, end, self.now)
+            req, rec = it.req, it.rec
+            setattr(rec, end, now)
             if shard_end:
-                rec.shards[it.shard_id][shard_end] = self.now
+                rec.shards[it.shard_id][shard_end] = now
             if stage is StageKind.PREPROCESS:
-                inst.gpu.queue.append(self._new_item(req, StageKind.ENCODE, it.tiles,
+                inst.gpu.queue.append(self._new_item(req, rec, StageKind.ENCODE, it.tiles,
                                                      it.shard_images, it.shard_id))
             elif stage is StageKind.ENCODE:
-                self._encode_item_done(inst, req)
+                self._encode_item_done(inst, req, rec)
             else:
-                self._prefill_done(inst, req)
+                self._prefill_done(inst, req, rec)
         if lane is inst.cpu:
             # The batch's encodes start before the CPU lane's next batch.
             self._dispatch(inst, inst.gpu)
-        self._dispatch(inst, lane)
-        self._maybe_stop_drained(inst)
+        if lane.queue:
+            self._dispatch(inst, lane)
+        if inst.state is InstanceState.DRAINING:
+            self._maybe_stop_drained(inst)
 
-    def _encode_item_done(self, inst: Instance, req: Request) -> None:
+    def _encode_item_done(self, inst: Instance, req: Request, rec: RequestRecord) -> None:
         rid = req.id
         if inst.pool == "image":
             self._release(inst, rid)
             self.shards_pending[rid] -= 1
             if self.shards_pending[rid] == 0:
                 del self.shards_pending[rid]
-                self._route_to_text_pool(req)
+                self._route_to_text_pool(req, rec)
         else:
             # Colocated encoder: continue to prefill on the same instance.
-            self._enqueue_prefill(inst, req)
+            self._enqueue_prefill(inst, req, rec)
 
-    def _prefill_done(self, inst: Instance, req: Request) -> None:
+    def _prefill_done(self, inst: Instance, req: Request, rec: RequestRecord) -> None:
         rid = req.id
-        self.log.records[rid].ttft_ms = self.now - req.arrival_ms
+        rec.ttft_ms = self.now - req.arrival_ms
         self._release(inst, rid)
         decode_steps = req.output_tokens - 1
         if decode_steps <= 0:
-            self._complete(req)
+            self._complete(rec)
             return
         if self.roles.decode is not None:
             self._route_to_decode_pool(req, decode_steps)
@@ -879,10 +889,12 @@ class Simulation:
         inst = self.instances[inst_id]
         if epoch != inst.decode.epoch:
             return
+        records = self.log.records
         for rid, tbt in inst.decode.pop_finished(self.now):
-            self._complete(self.requests[rid], tbt)
+            self._complete(records[rid], tbt)
         self._decode_changed(inst, restart=True)
-        self._maybe_stop_drained(inst)
+        if inst.state is InstanceState.DRAINING:
+            self._maybe_stop_drained(inst)
 
     def _decode_changed(self, inst: Instance, restart: bool) -> None:
         """A lane's queue, or if ``restart`` its batch, changed: reschedule it, re-sort its load."""
@@ -892,14 +904,15 @@ class Simulation:
         if inst.pool == self.roles.decode:
             self._reindex(inst)
 
-    def _complete(self, req: Request, tbt: list[tuple[float, float]] = ()) -> None:
-        rec = self.log.records[req.id]
+    def _complete(self, rec: RequestRecord, tbt: list[tuple[float, float]] = ()) -> None:
         rec.completion_ms = self.now
+        ttft = rec.ttft_ms
+        ttft_ok = ttft is not None and ttft <= rec.ttft_slo_ms
+        tbt_ok = True  # a request without TBT samples meets the TBT SLO
         if tbt:
-            rec.tbt_p99_ms = weighted_quantile(tbt, 0.99)
-        ttft_ok = rec.ttft_ms is not None and rec.ttft_ms <= rec.ttft_slo_ms
-        tbt_ok = rec.tbt_p99_ms is None or rec.tbt_p99_ms <= rec.tbt_slo_ms
-        rec.slo_ok = bool(ttft_ok and tbt_ok)
+            rec.tbt_p99_ms = tbt_p99 = weighted_quantile(tbt, 0.99)
+            tbt_ok = tbt_p99 <= rec.tbt_slo_ms
+        rec.slo_ok = ok = ttft_ok and tbt_ok
         if self._miss_budget is not None and rec.arrival_ms >= self._miss_after_ms:
             if not ttft_ok:
                 self._missed(rec.modality)
@@ -907,7 +920,7 @@ class Simulation:
                 self._missed("tbt")
         self.log.completed += 1
         self._win_completed += 1
-        self._win_slo_ok += int(rec.slo_ok)
+        self._win_slo_ok += ok
 
     # ------------------------------------------------------------------
     # Scaling
@@ -920,8 +933,8 @@ class Simulation:
 
     def _flush_waiting(self) -> None:
         waiting, self.image_waiting = self.image_waiting, []
-        for req in waiting:
-            self._route_to_image_pool(req)
+        for req, rec in waiting:
+            self._route_to_image_pool(req, rec)
 
     def _on_scale_tick(self, _data) -> None:
         interval_s = self.scale_interval_ms / 1000.0
@@ -933,7 +946,7 @@ class Simulation:
             slo_attainment=(self._win_slo_ok / self._win_completed) if self._win_completed else 1.0,
             completed=self._win_completed,
             queue_delay_ms={
-                s: (tot / n if n else 0.0) for s, (tot, n) in self._win_wait.items()
+                s.value: (tot / n if n else 0.0) for s, (tot, n) in self._win_wait.items()
             },
         )
         pools = {p: PoolState(count=len(self._live(p)), tp=tp) for p, tp in self._pool_tp.items()}

@@ -29,6 +29,7 @@ from .metrics import (
     REL_TOL,
     WARMUP_FRACTION,
     CapacityResult,
+    CostSummary,
     cost_summary,
     max_throughput,
     miss_budget,
@@ -122,15 +123,25 @@ def _in_range(value, field: str, rule: str) -> float:
 
 
 def _integer(value, field: str, least: int) -> int:
-    if not isinstance(value, int) or value < least:
+    # JSON true/false are Python bools, which are ints; neither is a count or a seed.
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise ConfigError(field, f"must be an integer >= {least}")
     return value
 
 
-def _seed_list(value, field: str) -> list[int]:
+def seed_list(value, field: str) -> list[int]:
+    """``value`` as a list of seeds, or a ConfigError naming ``field``.
+
+    Runs are deterministic, so a repeated seed would only run the same
+    simulation again (and write the same files twice).
+    """
     if not isinstance(value, list) or not value:
         raise ConfigError(field, "must be a non-empty list of integers")
-    return [_value(s, field, int) for s in value]
+    seeds = [_integer(s, field, 0) for s in value]
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(field, f"repeats seed(s) {repeated}; each seed runs once")
+    return seeds
 
 
 @dataclass
@@ -169,7 +180,7 @@ class Experiment:
             gen = self.source
             return generate(replace(gen, seed=gen.seed + seed,
                                     base_rate=gen.base_rate * rate_multiplier), horizon_ms)
-        requests = load_trace(self.source, self.model).requests
+        requests = _trace_requests(self.source, self.model)
         if rate_multiplier != 1.0:
             requests = [replace(r, arrival_ms=r.arrival_ms / rate_multiplier) for r in requests]
         return [r for r in requests if r.arrival_ms <= horizon_ms]
@@ -184,6 +195,29 @@ class Experiment:
         decision = initial_sizing(summarize(workload), self.profile, self.slo, image_tp, text_tp)
         return [InstancePlan(pool, decision.tp[pool], decision.targets[pool])
                 for pool in ("image", "text")]
+
+
+# The last trace parsed in this process: (key, requests). Parsing a day-long
+# trace costs seconds, and a capacity search, or runs that each validate
+# their own Experiment from one trace, read it many times; so the cache
+# belongs to the process, not to an Experiment. A pool worker forked after
+# the parent parsed the trace inherits it.
+_trace_cache: tuple[tuple, tuple[Request, ...]] | None = None
+
+
+def _trace_requests(path: Path, model: ModelSpec) -> tuple[Request, ...]:
+    """The requests of a trace file, parsed at most once while the file is unchanged.
+
+    The cache holds one trace, keyed by the file's resolved path, its
+    modification time and size, and the model. Callers must not modify the
+    requests; ``dataclasses.replace`` makes changed copies.
+    """
+    global _trace_cache
+    stat = path.stat()
+    key = (path.resolve(), stat.st_mtime_ns, stat.st_size, model)
+    if _trace_cache is None or _trace_cache[0] != key:
+        _trace_cache = (key, tuple(load_trace(path, model).requests))
+    return _trace_cache[1]
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -213,7 +247,7 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
     topology = _value(_required(raw, "topology"), "topology", Topology)
     model = _model(_required(raw, "model"), base_dir)
     profile = _profile(raw.get("profile", "auto"), model, base_dir)
-    seeds = _seed_list(raw.get("seeds", [1]), "seeds")
+    seeds = seed_list(raw.get("seeds", [1]), "seeds")
     horizon_ms = _in_range(_required(raw, "horizon_ms"), "horizon_ms", "> 0")
     return Experiment(
         model=model,
@@ -321,7 +355,7 @@ def _capacity(cap: dict, horizon_ms: float, seeds: list[int]) -> tuple:
         hi,
         _in_range(cap.get("rel_tol", REL_TOL), "capacity.rel_tol", "> 0"),
         _in_range(cap.get("horizon_ms", horizon_ms), "capacity.horizon_ms", "> 0"),
-        _seed_list(cap.get("seeds", seeds), "capacity.seeds"),
+        seed_list(cap.get("seeds", seeds), "capacity.seeds"),
     )
 
 
@@ -417,9 +451,8 @@ def build_simulation(exp: Experiment, seed: int, rate_multiplier: float | None =
     )
 
 
-def seed_summary(exp: Experiment, log: MetricsLog) -> dict:
+def seed_summary(exp: Experiment, log: MetricsLog, cost: CostSummary) -> dict:
     latency = summarize_latency(log, exp.warmup_fraction)
-    cost = cost_summary(log)
     return {
         "seed": log.seed,
         "arrived": log.arrived,
@@ -434,13 +467,13 @@ def seed_summary(exp: Experiment, log: MetricsLog) -> dict:
 
 def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
     log = build_simulation(exp, seed).run()
-    summary = seed_summary(exp, log)
+    cost = cost_summary(log)
+    summary = seed_summary(exp, log, cost)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         log.to_csv(out / f"requests_seed{seed}.csv")
         windows = slo_attainment(log, window_ms=60_000.0)
-        cost = cost_summary(log)
         gpus_by_window = dict(cost.timeline)
         rows = ["seed,window_start_ms,gpus,completed,attainment,p99_ttft_ms,vacuous"]
         window_dicts = []
@@ -596,7 +629,7 @@ def _offered_rate(exp: Experiment) -> float:
     """Baseline request rate of the configured workload, req/s."""
     if isinstance(exp.source, GeneratorConfig):
         return exp.source.base_rate
-    requests = load_trace(exp.source, exp.model).requests
+    requests = _trace_requests(exp.source, exp.model)
     if not requests:
         return 0.0
     span = max(r.arrival_ms for r in requests) / 1000.0

@@ -103,7 +103,7 @@ def summarize_latency(log: MetricsLog, warmup_fraction: float = WARMUP_FRACTION)
     return LatencySummary(
         ttft=ttft,
         tbt=tbt,
-        completed=len(log.completed_records()),
+        completed=log.completed,
         in_flight=log.in_flight,
         excluded_warmup=excluded,
     )

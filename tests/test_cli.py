@@ -131,11 +131,28 @@ class TestSimulate:
          "instances.text.count"),
         ({"cluster": {"servers": 1, "gpus_per_server": 8, "cpu_cores_per_server": 0}},
          "cluster.cpu_cores_per_server"),
+        # A repeated seed reruns the same simulation; a fractional or
+        # negative one cannot seed a run.
+        ({"seeds": [1, 1]}, "seeds"),
+        ({"capacity": {"seeds": [2, 2]}}, "capacity.seeds"),
+        ({"seeds": [1.5]}, "seeds"),
+        ({"seeds": [-1]}, "seeds"),
+        ({"seeds": []}, "seeds"),
+        ({"seeds": [True]}, "seeds"),
+        ({"cluster": {"servers": True, "gpus_per_server": 8}}, "cluster.servers"),
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["1,a", ",", "1,1", "", "1,", "-1", "2.5"])
+    def test_meaningless_seeds_flag_exits_2_naming_field(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seeds", seeds]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_auto_instances_runs(self, tmp_path):
         cfg = write_config(tmp_path, {"instances": "auto", "seeds": [1]})
@@ -159,6 +176,55 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seeds"]["1"]["arrived"] == 40
+
+
+def _write_trace(path, n):
+    rows = ["arrival_ms,service_id,text_tokens,num_images,image_dims,output_tokens"]
+    rows += [f"{i * 500},chat,200,{i % 2},{'640x480' if i % 2 else ''},4" for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+class TestTraceCache:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """The paths ``experiment.load_trace`` parses, starting from an empty cache."""
+        monkeypatch.setattr(experiment, "_trace_cache", None)
+        parsed = []
+        load = experiment.load_trace
+
+        def counted(path, model):
+            parsed.append(path)
+            return load(path, model)
+
+        monkeypatch.setattr(experiment, "load_trace", counted)
+        return parsed
+
+    def _exp(self, tmp_path):
+        return validate_config(config_from_dict(
+            {**BASE_CONFIG, "workload": {"trace": "trace.csv"}}, tmp_path))
+
+    def test_parsed_once_until_rewritten(self, tmp_path, loads):
+        _write_trace(tmp_path / "trace.csv", 40)
+        exp = self._exp(tmp_path)
+        assert len(exp.workload(1, 1.0, 60_000)) == 40
+        assert len(exp.workload(2, 1.0, 60_000)) == 40
+        assert experiment._offered_rate(exp) > 0
+        assert len(loads) == 1
+        _write_trace(tmp_path / "trace.csv", 30)
+        assert len(exp.workload(1, 1.0, 60_000)) == 30
+        assert len(loads) == 2
+
+    def test_rate_multiplier_leaves_cached_requests_untouched(self, tmp_path, loads):
+        _write_trace(tmp_path / "trace.csv", 40)
+        exp = self._exp(tmp_path)
+        cached = exp.workload(1, 1.0, 60_000)
+        before = [(r.id, r.arrival_ms, r.is_multimodal) for r in cached]
+        faster = exp.workload(1, 2.0, 60_000)
+        assert [r.arrival_ms for r in faster] == [a / 2.0 for _, a, _ in before]
+        assert [r.is_multimodal for r in faster] == [m for *_, m in before]
+        again = exp.workload(1, 1.0, 60_000)
+        assert [(r.id, r.arrival_ms, r.is_multimodal) for r in again] == before
+        assert len(loads) == 1
 
 
 class TestCapacity:

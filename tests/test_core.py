@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,21 @@ class TestRequestTotals:
             Request(id=0, arrival_ms=0, text_tokens=-1, images=(), output_tokens=1)
         with pytest.raises(SpecError):
             Request(id=0, arrival_ms=0, text_tokens=0, images=(), output_tokens=0)
+
+    def test_slotted(self):
+        r = Request(id=0, arrival_ms=0, text_tokens=1, images=(), output_tokens=1)
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(AttributeError):
+            r.is_multimodl = True  # a misspelt attribute is an error, not a new one
+
+    def test_derived_fields_follow_replace(self):
+        # The trace path's rate_multiplier builds requests with dataclasses.replace.
+        img = ImageSpec.from_dims(896, 896, INTERNVL)
+        base = Request(id=0, arrival_ms=10.0, text_tokens=5, images=(img,), output_tokens=1)
+        for r in (base, replace(base, arrival_ms=5.0), replace(base, images=()),
+                  replace(replace(base, images=()), images=(img, img))):
+            assert r.is_multimodal == (len(r.images) > 0)
+            assert r.total_image_tokens == sum(i.image_tokens for i in r.images)
 
 
 class TestSLOSpec:

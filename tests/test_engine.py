@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from collections import deque
@@ -16,7 +17,9 @@ from lmmsim.engine import (
     ServerSpec,
     SimulationError,
     TransferMedium,
+    RequestRecord,
     WorkItem,
+    _STAMPS,
     form_batch,
     sample_transfer_ms,
     weighted_quantile,
@@ -240,8 +243,9 @@ class TestTransferModel:
 
 class TestFormBatch:
     def _item(self, seq, stage, size, enqueue=0.0):
-        return WorkItem(seq=seq, request_id=seq, stage=stage, size_tokens=size,
-                        tiles=1, enqueue_ms=enqueue, ttft_slo_ms=1000.0)
+        # Batch formation reads neither the request nor its record.
+        return WorkItem(seq=seq, stage=stage, size_tokens=size, tiles=1, enqueue_ms=enqueue,
+                        ttft_slo_ms=1000.0, req=None, rec=None)
 
     def test_queue_of_five_max_two(self):
         queue = [self._item(i, StageKind.ENCODE, 10, enqueue=i) for i in range(5)]
@@ -731,9 +735,58 @@ class TestDecodeLane:
         assert all(r.completion_ms > start for r in log.records.values())
 
 
+class TestSlottedRecords:
+    def _record(self):
+        return RequestRecord(request_id=0, service_id="s", multimodal=False, arrival_ms=0.0,
+                             text_tokens=1, image_tokens=0, output_tokens=1, n_images=0)
+
+    def test_stamps_are_record_fields(self):
+        # Lanes stamp records with setattr by these names; with slots a
+        # misspelt one raises instead of adding an attribute.
+        names = {f.name for f in dataclasses.fields(RequestRecord)}
+        for start, end, _, _ in _STAMPS.values():
+            assert {start, end} <= names
+        with pytest.raises(AttributeError):
+            setattr(self._record(), "prep_strat_ms", 1.0)
+
+    def test_no_instance_dict(self):
+        req = make_request(0, 0.0, n_images=1)
+        item = WorkItem(seq=1, stage=StageKind.PREFILL, size_tokens=1, tiles=0, enqueue_ms=0.0,
+                        ttft_slo_ms=1.0, req=req, rec=self._record())
+        for obj in (req, self._record(), item):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    def test_completed_stays_a_property(self):
+        rec = self._record()
+        assert not rec.completed
+        rec.completion_ms = 5.0
+        assert rec.completed
+
+
+def _walked_quantile(pairs, q):
+    """Reference: the cumulative walk over sorted pairs, one addition at a time."""
+    if not pairs:
+        return 0.0
+    ordered = sorted(pairs)
+    total = sum(w for _, w in ordered)
+    acc = 0.0
+    for value, w in ordered:
+        acc += w
+        if acc >= q * total - 1e-12:
+            return value
+    return ordered[-1][0]
+
+
 class TestWeightedQuantile:
     def test_single_value(self):
         assert weighted_quantile([(5.0, 3.0)], 0.99) == 5.0
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(1e-12, 1e6)), max_size=40),
+           st.sampled_from([0.5, 0.9, 0.99]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_cumulative_walk(self, pairs, q):
+        # TBT samples have positive weights; the answer must be bit-identical.
+        assert weighted_quantile(pairs, q) == _walked_quantile(pairs, q)
 
     def test_weighted_mass(self):
         pairs = [(1.0, 99.0), (100.0, 1.0)]
