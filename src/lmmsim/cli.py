@@ -100,8 +100,13 @@ def cmd_calibrate(args) -> int:
         print(f"reusing cached profile {path} (use --force to refit)")
     else:
         if args.targets:
-            raw = json.loads(Path(args.targets).read_text())
-            targets = targets_from_dict(raw[model.name] if model.name in raw else raw)
+            try:
+                raw = json.loads(Path(args.targets).read_text())
+                if isinstance(raw, dict) and model.name in raw:  # a file of targets per model
+                    raw = raw[model.name]
+                targets = targets_from_dict(raw)
+            except (OSError, ValueError) as e:  # unreadable, not JSON, or a bad key
+                raise ConfigError("--targets", str(e))
         else:
             targets = load_calibration_targets(model.name)
         profile = calibrate(targets, model)

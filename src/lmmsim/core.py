@@ -20,7 +20,6 @@ class StageKind(str, Enum):
     ENCODE = "encode"
     PREFILL = "prefill"
     DECODE = "decode"
-    TRANSFER = "transfer"
 
 
 class SpecError(ValueError):
@@ -140,19 +139,50 @@ class SLOSpec:
         return self.tbt_base_ms * self.slo_factor
 
 
-def _spec_from_dict(d: dict) -> ModelSpec:
-    return ModelSpec(
-        name=d["name"],
-        architecture=Architecture(d["architecture"]),
-        tile_edge_px=int(d["tile_edge_px"]),
-        tokens_per_tile=int(d["tokens_per_tile"]),
-        max_tiles_per_image=int(d["max_tiles_per_image"]),
-        thumbnail_tile=bool(d.get("thumbnail_tile", False)),
-        encoder_params_b=float(d.get("encoder_params_b", 0.0)),
-        llm_params_b=float(d.get("llm_params_b", 0.0)),
-        default_tp_text=int(d.get("default_tp_text", 4)),
-        supported_tp_encoder=tuple(d.get("supported_tp_encoder", (1, 2, 4, 8))),
-    )
+def read_fields(d, converters: dict, required: set[str], where: str = "") -> dict:
+    """The keys of the JSON object ``d``, each passed through its converter.
+
+    A non-object, a missing ``required`` key, a key without a converter, or
+    a value its converter rejects raises a SpecError naming the key, which
+    ``where`` prefixes (e.g. ``"tp_scaling."``). So a misspelt key in an
+    input file is never silently ignored.
+    """
+    if not isinstance(d, dict):
+        raise SpecError(f"{where.rstrip('.') or 'input'}: must be an object, got {d!r}")
+    missing = sorted(required - d.keys())
+    if missing:
+        raise SpecError(f"{where}{missing[0]}: missing")
+    out = {}
+    for key, value in d.items():
+        if key not in converters:
+            raise SpecError(f"{where}{key}: unknown key (expected one of {sorted(converters)})")
+        try:
+            out[key] = converters[key](value)
+        except SpecError:  # a nested object's error already names its key
+            raise
+        except (TypeError, ValueError) as e:
+            raise SpecError(f"{where}{key}: bad value {value!r} ({e})")
+    return out
+
+
+def exact(kind: type):
+    """The converter that passes only a JSON value of ``kind``, so ``1.5``
+    is no int and ``"no"`` no bool (nor is ``true`` an int)."""
+    def convert(value):
+        if type(value) is not kind:
+            raise ValueError(f"must be a JSON {kind.__name__}")
+        return value
+    return convert
+
+
+# Each spec key's converter; the keys not required take ModelSpec's defaults.
+_SPEC_FIELDS = {
+    "name": exact(str), "architecture": Architecture, "tile_edge_px": exact(int),
+    "tokens_per_tile": exact(int), "max_tiles_per_image": exact(int), "thumbnail_tile": exact(bool),
+    "encoder_params_b": float, "llm_params_b": float, "default_tp_text": exact(int),
+    "supported_tp_encoder": lambda v: tuple(map(exact(int), v)),
+}
+_SPEC_REQUIRED = {"name", "architecture", "tile_edge_px", "tokens_per_tile", "max_tiles_per_image"}
 
 
 def load_model_specs(path: str | Path | None = None) -> dict[str, ModelSpec]:
@@ -162,15 +192,17 @@ def load_model_specs(path: str | Path | None = None) -> dict[str, ModelSpec]:
     else:
         text = Path(path).read_text()
     raw = json.loads(text)
+    if not isinstance(raw, list):
+        raise SpecError("a model spec file must hold a list of specs")
     specs = {}
-    for entry in raw:
-        spec = _spec_from_dict(entry)
+    for i, entry in enumerate(raw):
+        spec = ModelSpec(**read_fields(entry, _SPEC_FIELDS, _SPEC_REQUIRED, f"[{i}]."))
         specs[spec.name] = spec
     return specs
 
 
-def get_model_spec(name: str, path: str | Path | None = None) -> ModelSpec:
-    specs = load_model_specs(path)
+def get_model_spec(name: str) -> ModelSpec:
+    specs = load_model_specs()
     if name not in specs:
         raise SpecError(f"unknown model preset '{name}' (known: {sorted(specs)})")
     return specs[name]

@@ -88,7 +88,6 @@ class WorkItem:
     ttft_slo_ms: float
     req: Request
     rec: RequestRecord
-    shard_images: tuple = ()
     shard_id: int = 0
 
 
@@ -536,7 +535,7 @@ class Simulation:
     def _place(self, additions: list[tuple[str, int]], starting: bool) -> list[tuple[str, int]]:
         """Place new (pool, tp) instances on the servers' free GPUs and spawn
         them; returns the ones that did not fit."""
-        placements, unplaced, _ = pol.place(additions, self._server_views(), self.policies.placement)
+        placements, unplaced = pol.place(additions, self._server_views(), self.policies.placement)
         for pool, tp, server_id in placements:
             self._spawn(pool, tp, server_id, starting)
         return unplaced
@@ -766,19 +765,19 @@ class Simulation:
     # Batch lanes: CPU (preprocess) and GPU (encode + prefill)
     # ------------------------------------------------------------------
     def _new_item(self, req: Request, rec: RequestRecord, stage: StageKind, tiles: int,
-                  image_idx=(), shard_id: int = 0) -> WorkItem:
+                  shard_id: int = 0) -> WorkItem:
         self._next_item_seq += 1
         size = (req.text_tokens + req.total_image_tokens if stage is StageKind.PREFILL
                 else tiles * self.model.tokens_per_tile)
         return WorkItem(self._next_item_seq, stage, size, tiles, self.now,
-                        self._ttft_slo_ms[req.is_multimodal], req, rec, tuple(image_idx), shard_id)
+                        self._ttft_slo_ms[req.is_multimodal], req, rec, shard_id)
 
     def _enqueue_shard(self, inst: Instance, req: Request, rec: RequestRecord,
                        image_idx: list[int], shard_id: int, reserve: bool) -> None:
         tiles = sum(req.images[k].tiles for k in image_idx)
         if reserve:
             self._reserve(inst, req.id, 0, tiles * self.model.tokens_per_tile)
-        inst.cpu.queue.append(self._new_item(req, rec, StageKind.PREPROCESS, tiles, image_idx, shard_id))
+        inst.cpu.queue.append(self._new_item(req, rec, StageKind.PREPROCESS, tiles, shard_id))
         self._dispatch(inst, inst.cpu)
 
     def _enqueue_prefill(self, inst: Instance, req: Request, rec: RequestRecord) -> None:
@@ -833,8 +832,7 @@ class Simulation:
             if shard_end:
                 rec.shards[it.shard_id][shard_end] = now
             if stage is StageKind.PREPROCESS:
-                inst.gpu.queue.append(self._new_item(req, rec, StageKind.ENCODE, it.tiles,
-                                                     it.shard_images, it.shard_id))
+                inst.gpu.queue.append(self._new_item(req, rec, StageKind.ENCODE, it.tiles, it.shard_id))
             elif stage is StageKind.ENCODE:
                 self._encode_item_done(inst, req, rec)
             else:
@@ -939,7 +937,6 @@ class Simulation:
     def _on_scale_tick(self, _data) -> None:
         interval_s = self.scale_interval_ms / 1000.0
         window = pol.LoadWindow(
-            window_ms=self.scale_interval_ms,
             image_token_rate=self._win_image_tokens / interval_s,
             text_token_rate=self._win_text_tokens / interval_s,
             output_token_rate=self._win_output_tokens / interval_s,
@@ -964,7 +961,7 @@ class Simulation:
             live = self._live(pool_name)
             delta = target - len(live)
             if delta > 0:
-                additions.extend([(pool_name, decision.tp[pool_name])] * delta)
+                additions.extend([(pool_name, self._pool_tp[pool_name])] * delta)
             elif delta < 0:
                 active = [i for i in live if i.state is InstanceState.ACTIVE]
                 floor = 1 if is_text_family(pool_name) else 0

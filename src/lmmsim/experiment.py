@@ -66,8 +66,8 @@ _TOP_LEVEL_KEYS = {
 }
 _SECTION_KEYS = {
     "policies": {f.name for f in fields(PolicySet)} - {"topology"},
-    "slo": {"slo_factor", "percentile", "ref_text_tokens", "ttft_base_text_ms",
-            "ttft_base_image_ms", "tbt_base_ms"},
+    "slo": {"slo_factor", "ref_text_tokens", "ttft_base_text_ms", "ttft_base_image_ms",
+            "tbt_base_ms"},
     "transfer": {"medium"},
     "cluster": {"servers", "gpus_per_server", "cpu_cores_per_server"},
     "capacity": {"lo_multiplier", "hi_multiplier", "rel_tol", "horizon_ms", "seeds"},
@@ -192,9 +192,9 @@ class Experiment:
         image_tp, _ = select_sharding("image", self.model, self.profile, self.slo)
         text_tp, _ = select_sharding("text", self.model, self.profile, self.slo)
         workload = self.workload(seed, self.rate_multiplier, self.horizon_ms) if workload is None else workload
-        decision = initial_sizing(summarize(workload), self.profile, self.slo, image_tp, text_tp)
-        return [InstancePlan(pool, decision.tp[pool], decision.targets[pool])
-                for pool in ("image", "text")]
+        targets = initial_sizing(summarize(workload), self.profile, image_tp)
+        return [InstancePlan("image", image_tp, targets["image"]),
+                InstancePlan("text", text_tp, targets["text"])]
 
 
 # The last trace parsed in this process: (key, requests). Parsing a day-long
@@ -249,12 +249,13 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
     profile = _profile(raw.get("profile", "auto"), model, base_dir)
     seeds = seed_list(raw.get("seeds", [1]), "seeds")
     horizon_ms = _in_range(_required(raw, "horizon_ms"), "horizon_ms", "> 0")
+    servers = _servers(_section(raw, "cluster", required=True))
     return Experiment(
         model=model,
         profile=profile,
         slo=_slo(_section(raw, "slo"), profile),
         policies=_policies(_section(raw, "policies"), topology),
-        servers=_servers(_section(raw, "cluster", required=True)),
+        servers=servers,
         engine_options=_engine_options(raw),
         seeds=seeds,
         horizon_ms=horizon_ms,
@@ -263,16 +264,20 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
         rate_multiplier=_in_range(raw.get("rate_multiplier", 1.0), "rate_multiplier", "> 0"),
         capacity=_capacity(_section(raw, "capacity"), horizon_ms, seeds),
         source=_source(_required(raw, "workload"), model, base_dir),
-        instance_plan=_instance_plan(_required(raw, "instances"), topology),
+        instance_plan=_instance_plan(_required(raw, "instances"), topology, profile, servers[0].gpus),
     )
 
 
 def _model(m, base_dir: Path) -> ModelSpec:
     if isinstance(m, dict):
-        path = base_dir / m.get("spec_path", "")
-        if not path.exists():
+        _check_keys(m, {"spec_path", "name"}, "model.")
+        path = base_dir / _required(m, "spec_path", "model.")
+        if not path.is_file():
             raise ConfigError("model.spec_path", f"file not found: {path}")
-        specs = load_model_specs(path)
+        try:
+            specs = load_model_specs(path)
+        except ValueError as e:  # SpecError, or the file is not JSON
+            raise ConfigError("model.spec_path", str(e))
         name = m.get("name")
         if name is None or name not in specs:
             raise ConfigError("model.name", f"not in {sorted(specs)}")
@@ -287,16 +292,15 @@ def _profile(p, model: ModelSpec, base_dir: Path) -> LatencyProfile:
     if p == "auto":
         return calibrate(load_calibration_targets(model.name), model)
     path = base_dir / p
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError("profile", f"file not found: {path}")
-    return LatencyProfile.load(path, model)
+    try:
+        return LatencyProfile.load(path, model)
+    except ValueError as e:  # SpecError, ProfileError, or the file is not JSON
+        raise ConfigError("profile", str(e))
 
 
 def _slo(s: dict, profile: LatencyProfile) -> SLOSpec:
-    # Every tail (TTFT/TBT P99, capacity probes, windowed P99) is the 99th
-    # percentile; the field is accepted only with that value.
-    if s.get("percentile", 0.99) != 0.99:
-        raise ConfigError("slo.percentile", "only 0.99 is supported")
     ref_text = _integer(s.get("ref_text_tokens", 2048), "slo.ref_text_tokens", 1)
     derived = {
         "ttft_base_text_ms": profile.ttft_base_text_ms(ref_text),
@@ -381,8 +385,9 @@ def _generator(g, model: ModelSpec) -> GeneratorConfig:
             raise ConfigError(where, "needs start_ms and duration_ms")
         episodes.append(BurstEpisode(**{k: _value(v, f"{where}.{k}") for k, v in e.items()}))
     kwargs = {k: v for k, v in g.items() if k not in ("burst_episodes", "images_per_request")}
-    if "seed" in g:
-        kwargs["seed"] = _value(g["seed"], "workload.generator.seed", int)
+    # Any integer: a negative one plus a run seed can still seed a run.
+    if "seed" in g and (not isinstance(g["seed"], int) or isinstance(g["seed"], bool)):
+        raise ConfigError("workload.generator.seed", f"must be an integer, got {g['seed']!r}")
     if "images_per_request" in g:
         where = "workload.generator.images_per_request"
         shares = g["images_per_request"]
@@ -398,7 +403,8 @@ def _generator(g, model: ModelSpec) -> GeneratorConfig:
     return cfg
 
 
-def _instance_plan(inst, topology: Topology) -> list[InstancePlan] | None:
+def _instance_plan(inst, topology: Topology, profile: LatencyProfile,
+                   gpus_per_server: int) -> list[InstancePlan] | None:
     """The configured pools, or None for "auto" (see ``Experiment.instances``)."""
     if inst == "auto":
         if topology is not Topology.DECOUPLED:
@@ -407,6 +413,7 @@ def _instance_plan(inst, topology: Topology) -> list[InstancePlan] | None:
     if not isinstance(inst, dict):
         raise ConfigError("instances", "must be 'auto' or a pool mapping")
     topo_pools = POOL_ROLES[topology].pools
+    encoder_pool = POOL_ROLES[topology].image_entry
     plan = []
     for pool, entry in inst.items():
         if pool not in topo_pools:
@@ -419,12 +426,30 @@ def _instance_plan(inst, topology: Topology) -> list[InstancePlan] | None:
         # Every request passes through the pools that run LLM work, so each
         # needs an instance; the image pool may start empty.
         least = 1 if is_text_family(pool) else 0
-        plan.append(InstancePlan(pool, _integer(_required(entry, "tp", where), f"{where}tp", 1),
+        plan.append(InstancePlan(pool, _tp(_required(entry, "tp", where), pool, pool == encoder_pool,
+                                           profile, gpus_per_server),
                                  _integer(_required(entry, "count", where), f"{where}count", least)))
     missing = topo_pools - {p.pool for p in plan}
     if missing:
         raise ConfigError("instances", f"missing pools for topology: {sorted(missing)}")
     return plan
+
+
+def _tp(value, pool: str, runs_encoder: bool, profile: LatencyProfile, gpus_per_server: int) -> int:
+    """A pool's TP degree: one server's GPUs hold an instance, the profile
+    prices that degree, and the encoder supports it if the pool runs it."""
+    field = f"instances.{pool}.tp"
+    tp = _integer(value, field, 1)
+    if tp > gpus_per_server:
+        raise ConfigError(field, f"TP {tp} exceeds cluster.gpus_per_server ({gpus_per_server})")
+    lo, hi = profile.tp_range()
+    if not lo <= tp <= hi:
+        raise ConfigError(field, f"TP {tp} outside the profile's TP range {lo}..{hi}")
+    supported = profile.model.supported_tp_encoder
+    if runs_encoder and tp not in supported:
+        raise ConfigError(field, f"pool '{pool}' runs the encoder, which supports TP "
+                                 f"{sorted(supported)}, not {tp}")
+    return tp
 
 
 # ----------------------------------------------------------------------
@@ -501,10 +526,10 @@ def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
 _POOL_WORKERS = max(1, min(os.cpu_count() or 1, 8))
 
 
-def _pool(n_jobs: int, parallel: bool = True):
+def _pool(n_jobs: int):
     """A process pool for batches of ``n_jobs`` jobs, or a null context (no
     pool) when there is only one job at a time to run."""
-    if parallel and n_jobs > 1:
+    if n_jobs > 1:
         return ProcessPoolExecutor(max_workers=_POOL_WORKERS)
     return contextlib.nullcontext()
 
@@ -517,12 +542,12 @@ def _map(fn, jobs: list[tuple], pool: ProcessPoolExecutor | None) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
-                   seeds: list[int] | None = None, parallel: bool = True) -> dict:
+                   seeds: list[int] | None = None) -> dict:
     """Run all seeds, write per-seed artifacts, and aggregate a summary."""
     exp = validate_config(cfg)
     seeds = seeds if seeds is not None else exp.seeds
     out = str(out_dir) if out_dir is not None else None
-    with _pool(len(seeds), parallel) as pool:
+    with _pool(len(seeds)) as pool:
         results = _map(_simulate_worker, [(exp, s, out) for s in seeds], pool)
     by_seed = {r["seed"]: r for r in results}
     agg = aggregate_summaries(list(by_seed.values()))

@@ -12,6 +12,9 @@ from .engine import MetricsLog, RequestRecord
 # leave out, and the capacity search's relative tolerance, unless given.
 WARMUP_FRACTION = 0.1
 REL_TOL = 0.02
+# How often the capacity search may double its upper bracket before it
+# reports the last passing rate as the capacity.
+MAX_DOUBLINGS = 8
 
 
 def quantile(values, q: float) -> float:
@@ -167,13 +170,6 @@ class CostSummary:
     peak_gpus: int
     timeline: list[tuple[float, int]]  # (window_start_ms, gpus at window start)
 
-    def to_dict(self) -> dict:
-        return {
-            "gpu_seconds": self.gpu_seconds,
-            "peak_gpus": self.peak_gpus,
-            "timeline": [[t, g] for t, g in self.timeline],
-        }
-
 
 def cost_summary(log: MetricsLog, window_ms: float = 60_000.0) -> CostSummary:
     """GPU-seconds and a sampled allocation timeline from the allocation log."""
@@ -198,13 +194,7 @@ class CapacityResult:
     probes: list[tuple[float, bool]] = field(default_factory=list)
 
 
-def max_throughput(
-    probe,
-    lo: float,
-    hi: float,
-    rel_tol: float = REL_TOL,
-    max_doublings: int = 8,
-) -> CapacityResult:
+def max_throughput(probe, lo: float, hi: float, rel_tol: float = REL_TOL) -> CapacityResult:
     """Bisection for the largest rate whose probe passes.
 
     `probe(rate) -> bool` must be monotone (higher rates only hurt);
@@ -219,7 +209,7 @@ def max_throughput(
 
     if not check(lo):
         return CapacityResult(rate=0.0, feasible=False, probes=probes)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if not check(hi):
             break
         lo = hi

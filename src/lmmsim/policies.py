@@ -81,6 +81,17 @@ def is_text_family(pool: str) -> bool:
 # Per-stage batch caps of the engine when a config sets none.
 DEFAULT_MAX_BATCH = {"preprocess": 8, "encode": 1, "prefill": 8, "decode": 48}
 
+# The token-aware autoscaler adds a replica when a window's SLO attainment
+# falls below ATTAINMENT_THRESHOLD, and shrinks a pool only after
+# SHRINK_WINDOWS consecutive windows whose load is below SHRINK_UTILIZATION
+# of the pool's current capacity.
+ATTAINMENT_THRESHOLD = 0.99
+SHRINK_UTILIZATION = 0.7
+SHRINK_WINDOWS = 2
+
+# Pool sizes when there is no image history to size from.
+NO_HISTORY_TARGETS = {"image": 4, "text": 4}
+
 
 @dataclass(frozen=True)
 class PolicySet:
@@ -91,9 +102,6 @@ class PolicySet:
     topology: Topology = Topology.DECOUPLED
     max_fanout: int = 8
     aging_slo_fraction: float = 0.5
-    attainment_threshold: float = 0.99
-    shrink_utilization: float = 0.7
-    shrink_windows: int = 2
     # Queueing budget divisor when sizing pools: >1 targets tail latency
     # rather than mean latency inside each stage's SLO share.
     capacity_tail_factor: float = 1.0
@@ -102,13 +110,11 @@ class PolicySet:
 @dataclass
 class ScalingDecision:
     targets: dict[str, int]  # instance kind name -> replica count
-    tp: dict[str, int]
     flags: list[str] = field(default_factory=list)
 
 
 @dataclass
 class LoadWindow:
-    window_ms: float
     image_token_rate: float = 0.0  # tokens/sec offered
     text_token_rate: float = 0.0
     output_token_rate: float = 0.0
@@ -283,24 +289,19 @@ class TokenAwareAutoscaler:
         want = max(1, math.ceil(ml / mc))
         if want < current.count:
             # Hysteresis: only shrink after sustained low utilization.
-            low = ml < self.policies.shrink_utilization * current.count * mc
+            low = ml < SHRINK_UTILIZATION * current.count * mc
             streak = self._low_windows.get(kind, 0) + 1 if low else 0
             self._low_windows[kind] = streak
-            if streak < self.policies.shrink_windows:
+            if streak < SHRINK_WINDOWS:
                 return current.count
             return want
         self._low_windows[kind] = 0
         return want
 
     def decide(self, window: LoadWindow, pools: dict[str, PoolState]) -> ScalingDecision:
-        targets = {}
-        tp = {}
+        targets = {kind: self._target(kind, window, state) for kind, state in pools.items()}
         flags = []
-        for kind, state in pools.items():
-            targets[kind] = self._target(kind, window, state)
-            tp[kind] = state.tp
-
-        if window.completed > 0 and window.slo_attainment < self.policies.attainment_threshold:
+        if window.completed > 0 and window.slo_attainment < ATTAINMENT_THRESHOLD:
             stage_for = {"encode": self.roles.image_entry, "prefill": self.roles.text}
             delays = {s: window.queue_delay_ms.get(s, 0.0) for s in stage_for}
             worst = max(delays, key=lambda s: (delays[s], s))
@@ -310,7 +311,7 @@ class TokenAwareAutoscaler:
 
         # Clamp to GPU inventory, trimming the largest GPU consumer first.
         def used():
-            return sum(targets[k] * tp[k] for k in targets)
+            return sum(targets[k] * pools[k].tp for k in targets)
 
         if used() > self.gpu_budget:
             flags.append("clamped to inventory")
@@ -318,36 +319,26 @@ class TokenAwareAutoscaler:
             candidates = [k for k in targets if targets[k] > 1]
             if not candidates:
                 break
-            victim = max(candidates, key=lambda k: (targets[k] * tp[k], k))
+            victim = max(candidates, key=lambda k: (targets[k] * pools[k].tp, k))
             targets[victim] -= 1
-        return ScalingDecision(targets=targets, tp=tp, flags=flags)
+        return ScalingDecision(targets=targets, flags=flags)
 
 
-def initial_sizing(summary: WorkloadSummary, profile: LatencyProfile, slo: SLOSpec,
-                   image_tp: int, text_tp: int,
-                   overprovision: tuple[int, int] = (4, 4)) -> ScalingDecision:
-    """Starting pool sizes from workload history, or overprovision without one.
+def initial_sizing(summary: WorkloadSummary, profile: LatencyProfile, image_tp: int) -> dict[str, int]:
+    """Starting pool sizes from workload history, or NO_HISTORY_TARGETS without one.
 
     Image instances cover the median image arrival rate times the median
-    per-image encode latency; text instances follow from the median number
-    of images per request.
+    per-image encode latency at ``image_tp``; text instances follow from the
+    median number of images per request.
     """
     if summary.empty or summary.median_image_qps <= 0:
-        img, text = overprovision
-        return ScalingDecision(
-            targets={"image": img, "text": text},
-            tp={"image": image_tp, "text": text_tp},
-            flags=["no history: overprovisioned"],
-        )
+        return dict(NO_HISTORY_TARGETS)
     tiles = max(1, int(round(summary.median_image_tiles)))
     encode_s = profile.encode_latency(tiles, image_tp) / 1000.0
     n_image = max(1, math.ceil(summary.median_image_qps * encode_s))
     images_per_req = max(1.0, summary.median_images_per_request)
     n_text = max(1, math.ceil(n_image / images_per_req))
-    return ScalingDecision(
-        targets={"image": n_image, "text": n_text},
-        tp={"image": image_tp, "text": text_tp},
-    )
+    return {"image": n_image, "text": n_text}
 
 
 def select_sharding(kind: str, model: ModelSpec, profile: LatencyProfile, slo: SLOSpec) -> tuple[int, bool]:
@@ -390,13 +381,13 @@ class ServerView:
 
 
 def place(additions: list[tuple[str, int]], servers: list[ServerView],
-          mode: PlacementKind) -> tuple[list[tuple[str, int, int]], list[tuple[str, int]], bool]:
+          mode: PlacementKind) -> tuple[list[tuple[str, int, int]], list[tuple[str, int]]]:
     """Map new instances to servers.
 
     Colocation puts one text-family instance per server first, then packs
     image instances into the leftover GPUs of those servers (best-fit),
     spilling onto the emptiest remaining servers. Spread round-robins all
-    instances across servers. Returns (placements, unplaced, ok).
+    instances across servers. Returns (placements, unplaced).
     """
     servers = sorted(servers, key=lambda s: s.server_id)
     placements: list[tuple[str, int, int]] = []
@@ -416,7 +407,7 @@ def place(additions: list[tuple[str, int]], servers: list[ServerView],
                     break
             if not placed:
                 unplaced.append((kind, tp))
-        return placements, unplaced, not unplaced
+        return placements, unplaced
 
     text_like = [(k, tp) for k, tp in additions if is_text_family(k)]
     image_like = [(k, tp) for k, tp in additions if not is_text_family(k)]
@@ -445,4 +436,4 @@ def place(additions: list[tuple[str, int]], servers: list[ServerView],
         srv.gpus_free -= tp
         placements.append((kind, tp, srv.server_id))
 
-    return placements, unplaced, not unplaced
+    return placements, unplaced

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Architecture, ModelSpec, SLOSpec, StageKind, image_tokens, tile_count
+from .core import (Architecture, ModelSpec, SLOSpec, StageKind, exact, image_tokens, read_fields,
+                   tile_count)
 
 TP_POINTS = (1, 2, 4, 8)
 
@@ -264,34 +265,24 @@ class LatencyProfile:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
-    def from_dict(cls, d: dict, model: ModelSpec) -> "LatencyProfile":
-        def int_keys(m):
-            return {int(k): float(v) for k, v in m.items()} if m else None
-
-        return cls(
-            model=model,
-            prep_ms_per_tile_core=float(d["prep_ms_per_tile_core"]),
-            prep_floor_ms=float(d["prep_floor_ms"]),
-            encode_ms_per_tile=int_keys(d["encode_ms_per_tile"]),
-            prefill_ms_per_token=int_keys(d.get("prefill_ms_per_token")),
-            prefill_self_ms_per_token=int_keys(d.get("prefill_self_ms_per_token")),
-            cross_weight=float(d.get("cross_weight", 0.0)),
-            tbt_base_ms=int_keys(d["tbt_base_ms"]),
-            decode_batch_slope=float(d["decode_batch_slope"]),
-            ref_text_tokens=int(d["ref_text_tokens"]),
-            ref_image_px=tuple(d["ref_image_px"]),
-            ref_cpu_cores=int(d["ref_cpu_cores"]),
-            ref_ttft_ms=float(d["ref_ttft_ms"]),
-            ttft_breakdown={StageKind(k): float(v) for k, v in d["ttft_breakdown"].items()},
-            mixed_modality_gain=d.get("mixed_modality_gain"),
-        )
-
-    @classmethod
     def load(cls, path: str | Path, model: ModelSpec) -> "LatencyProfile":
+        """The profile ``save`` wrote for ``model``; a SpecError or
+        ProfileError names the key that is missing, unknown or bad."""
         d = json.loads(Path(path).read_text())
-        if d["model"] != model.name:
+        fields = read_fields(d, _PROFILE_FIELDS, set(_PROFILE_FIELDS))
+        if fields.pop("model") != model.name:
             raise ProfileError(f"profile file is for {d['model']}, not {model.name}")
-        return cls.from_dict(d, model)
+        prefill = ("prefill_self_ms_per_token" if model.architecture is Architecture.CRO_ATTN
+                   else "prefill_ms_per_token")
+        if fields[prefill] is None:
+            raise ProfileError(f"{prefill}: null, but it prices a {model.architecture.value} model's prefill")
+        return cls(model=model, **fields)
+
+    def tp_range(self) -> tuple[int, int]:
+        """The lowest and highest TP degree that every per-TP table covers."""
+        tables = [t for t in (self.encode_ms_per_tile, self.prefill_ms_per_token,
+                              self.prefill_self_ms_per_token, self.tbt_base_ms) if t is not None]
+        return max(min(t) for t in tables), min(max(t) for t in tables)
 
 
 # ----------------------------------------------------------------------
@@ -434,11 +425,11 @@ def predict_breakdown(profile: LatencyProfile) -> dict[StageKind, float]:
     }
 
 
-def predict_mixed_gain(profile: LatencyProfile, total_tokens: int = 16000) -> float:
-    """TTFT ratio of an image-only vs text-only request at fixed total tokens."""
+def predict_mixed_gain(profile: LatencyProfile) -> float:
+    """TTFT ratio of an image-only vs text-only request of about 16,000 prompt tokens."""
     tp = profile.model.default_tp_text
     tokens_per_tile = profile.model.tokens_per_tile
-    tiles = max(1, round(total_tokens / tokens_per_tile))
+    tiles = max(1, round(16000 / tokens_per_tile))
     img_tokens = tiles * tokens_per_tile
     prep = profile.preprocess_latency(tiles, profile.ref_cpu_cores)
     enc = profile.encode_latency(tiles, tp)
@@ -467,37 +458,68 @@ def _verify_round_trip(profile: LatencyProfile, targets: CalibrationTargets) -> 
 # ----------------------------------------------------------------------
 # Bundled targets
 # ----------------------------------------------------------------------
-def load_calibration_targets(name: str, path: str | Path | None = None) -> CalibrationTargets:
-    """Load calibration targets for a preset, bundled data by default."""
-    if path is None:
-        text = resources.files("lmmsim.data").joinpath("calibration_targets.json").read_text()
-    else:
-        text = Path(path).read_text()
-    raw = json.loads(text)
+def load_calibration_targets(name: str) -> CalibrationTargets:
+    """The bundled calibration targets of a preset."""
+    raw = json.loads(resources.files("lmmsim.data").joinpath("calibration_targets.json").read_text())
     if name not in raw:
         raise CalibrationError(f"no calibration targets for '{name}' (known: {sorted(raw)})")
     return targets_from_dict(raw[name])
 
 
+# ----------------------------------------------------------------------
+# Input files: each key of a profile file or a calibration-target object and
+# the converter its value passes through (see ``read_fields``).
+# ----------------------------------------------------------------------
+def _tp_table(m) -> dict[int, float]:
+    if not isinstance(m, dict) or not m:
+        raise ValueError("must be a non-empty object of TP degree -> value")
+    return {int(k): float(v) for k, v in m.items()}
+
+
+def _optional(convert):
+    return lambda v: None if v is None else convert(v)
+
+
+def _pixels(v) -> tuple[int, int]:
+    width, height = map(exact(int), v)
+    return width, height
+
+
+def _per_stage(stages: tuple[str, ...], convert, where: str):
+    """The converter of an object whose keys are exactly ``stages``."""
+    return lambda m: read_fields(m, dict.fromkeys(stages, convert), set(stages), where)
+
+
+# TTFT shares of the stages before the first token, and TP scaling tables.
+_ttft_shares = _per_stage(("preprocess", "encode", "prefill"), float, "ttft_breakdown.")
+_tp_scaling = _per_stage(("encode", "prefill", "decode"), _tp_table, "tp_scaling.")
+_SHARED_FIELDS = {
+    "ttft_breakdown": lambda m: {StageKind(k): v for k, v in _ttft_shares(m).items()},
+    "mixed_modality_gain": _optional(float),
+    "ref_image_px": _pixels,
+    "ref_cpu_cores": exact(int),
+    "ref_ttft_ms": float,
+    "decode_batch_slope": float,
+    "cross_weight": float,
+}
+# A saved profile holds every key.
+_PROFILE_FIELDS = {
+    **_SHARED_FIELDS, "model": str, "prep_ms_per_tile_core": float, "prep_floor_ms": float,
+    "encode_ms_per_tile": _tp_table, "prefill_ms_per_token": _optional(_tp_table),
+    "prefill_self_ms_per_token": _optional(_tp_table), "tbt_base_ms": _tp_table, "ref_text_tokens": exact(int),
+}
+# Targets need only these two; the other keys take CalibrationTargets' defaults.
+_TARGET_REQUIRED = {"ttft_breakdown", "tp_scaling"}
+_TARGET_FIELDS = {
+    **_SHARED_FIELDS, "ref_text_tokens": _optional(float), "tbt_ref_ms": float, "preprocess_floor_ms": float,
+    "tp_scaling": lambda m: TpScaling(**_tp_scaling(m)),
+}
+
+
 def targets_from_dict(d: dict) -> CalibrationTargets:
-    scaling = TpScaling(
-        encode={int(k): float(v) for k, v in d["tp_scaling"]["encode"].items()},
-        prefill={int(k): float(v) for k, v in d["tp_scaling"]["prefill"].items()},
-        decode={int(k): float(v) for k, v in d["tp_scaling"]["decode"].items()},
-    )
-    return CalibrationTargets(
-        ttft_breakdown={StageKind(k): float(v) for k, v in d["ttft_breakdown"].items()},
-        tp_scaling=scaling,
-        mixed_modality_gain=d.get("mixed_modality_gain"),
-        ref_text_tokens=d.get("ref_text_tokens"),
-        ref_image_px=tuple(d.get("ref_image_px", (896, 896))),
-        ref_cpu_cores=int(d.get("ref_cpu_cores", 8)),
-        ref_ttft_ms=float(d.get("ref_ttft_ms", 1000.0)),
-        tbt_ref_ms=float(d.get("tbt_ref_ms", 30.0)),
-        decode_batch_slope=float(d.get("decode_batch_slope", 0.02)),
-        cross_weight=float(d.get("cross_weight", 0.2)),
-        preprocess_floor_ms=float(d.get("preprocess_floor_ms", 1.0)),
-    )
+    """Calibration targets from their JSON object; a SpecError names the key
+    that is missing, unknown or bad."""
+    return CalibrationTargets(**read_fields(d, _TARGET_FIELDS, _TARGET_REQUIRED))
 
 
 def default_profile(model: ModelSpec) -> LatencyProfile:

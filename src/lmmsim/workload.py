@@ -22,13 +22,14 @@ class TraceError(ValueError):
 
 
 TRACE_COLUMNS = ["arrival_ms", "service_id", "text_tokens", "num_images", "image_dims", "output_tokens"]
+# A trace with a larger share of malformed rows is rejected, not replayed.
+MAX_MALFORMED_FRAC = 0.01
 
 
 @dataclass
 class TraceLoadResult:
     requests: list[Request]
     malformed_rows: int
-    total_rows: int
 
 
 def _parse_dims(cell: str) -> list[tuple[int, int]]:
@@ -42,11 +43,11 @@ def _parse_dims(cell: str) -> list[tuple[int, int]]:
     return dims
 
 
-def load_trace(path: str | Path, model: ModelSpec, max_malformed_frac: float = 0.01) -> TraceLoadResult:
+def load_trace(path: str | Path, model: ModelSpec) -> TraceLoadResult:
     """Parse a trace CSV into Requests sorted by arrival time.
 
-    Malformed rows are counted and skipped; more than `max_malformed_frac`
-    of them is a hard error.
+    Malformed rows are counted and skipped; more than MAX_MALFORMED_FRAC of
+    them is a hard error.
     """
     path = Path(path)
     if not path.exists():
@@ -57,7 +58,7 @@ def load_trace(path: str | Path, model: ModelSpec, max_malformed_frac: float = 0
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            return TraceLoadResult([], 0, 0)
+            return TraceLoadResult([], 0)
         missing = [c for c in TRACE_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise TraceError(f"trace {path} missing columns: {missing}")
@@ -82,12 +83,12 @@ def load_trace(path: str | Path, model: ModelSpec, max_malformed_frac: float = 0
                 ))
             except (ValueError, KeyError):
                 malformed += 1
-    if total > 0 and malformed / total > max_malformed_frac:
-        raise TraceError(f"{malformed}/{total} malformed rows in {path} exceeds {max_malformed_frac:.0%}")
+    if total > 0 and malformed / total > MAX_MALFORMED_FRAC:
+        raise TraceError(f"{malformed}/{total} malformed rows in {path} exceeds {MAX_MALFORMED_FRAC:.0%}")
     requests.sort(key=lambda r: r.arrival_ms)
     for i, req in enumerate(requests):
         req.id = i
-    return TraceLoadResult(requests, malformed, total)
+    return TraceLoadResult(requests, malformed)
 
 
 def write_trace(path: str | Path, requests: list[Request]) -> None:
@@ -160,13 +161,10 @@ class GeneratorConfig:
             raise ValueError("images_per_request keys must be in 1..16")
 
 
-def sample_power_law(rng: np.random.Generator, alpha: float, lo: int, hi: int, size: int | None = None):
-    """Pareto samples with density exponent alpha, clamped to [lo, hi]."""
-    u = rng.random(size)
-    x = lo * u ** (-1.0 / (alpha - 1.0))
-    if size is None:
-        return min(max(x, lo), hi)  # np.clip on a Python float costs ~10x more
-    return np.clip(x, lo, hi)
+def sample_power_law(rng: np.random.Generator, alpha: float, lo: int, hi: int):
+    """One Pareto sample with density exponent alpha, clamped to [lo, hi]."""
+    x = lo * rng.random() ** (-1.0 / (alpha - 1.0))
+    return min(max(x, lo), hi)
 
 
 def fit_tail_exponent(samples, tail_fraction: float = 0.1) -> float:
@@ -273,7 +271,10 @@ class WorkloadSummary:
     median_image_qps: float = 0.0
 
 
-def summarize(requests: list[Request], window_s: float = 60.0) -> WorkloadSummary:
+_SUMMARY_WINDOW_S = 60.0  # summarize counts image arrivals per window of this length
+
+
+def summarize(requests: list[Request]) -> WorkloadSummary:
     """Aggregate image statistics used by initial pool sizing."""
     if not requests:
         return WorkloadSummary(empty=True)
@@ -284,12 +285,12 @@ def summarize(requests: list[Request], window_s: float = 60.0) -> WorkloadSummar
     if image_reqs:
         # Median over fixed windows of the image arrival rate.
         t0 = min(r.arrival_ms for r in requests)
-        n_windows = max(1, int(math.ceil(duration_s / window_s)))
+        n_windows = max(1, int(math.ceil(duration_s / _SUMMARY_WINDOW_S)))
         counts = np.zeros(n_windows)
         for r in image_reqs:
-            w = min(n_windows - 1, int((r.arrival_ms - t0) / 1000.0 / window_s))
+            w = min(n_windows - 1, int((r.arrival_ms - t0) / 1000.0 / _SUMMARY_WINDOW_S))
             counts[w] += len(r.images)
-        median_qps = float(np.median(counts) / window_s)
+        median_qps = float(np.median(counts) / _SUMMARY_WINDOW_S)
     else:
         median_qps = 0.0
     return WorkloadSummary(

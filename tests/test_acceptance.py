@@ -498,7 +498,7 @@ def test_criterion_9_property_suites():
     table_ok = True
     for mult, want in ((0.1, 1), (1.0, 1), (1.5, 2), (2.5, 3), (4.0, 4), (7.3, 8)):
         got = scaler.decide(
-            LoadWindow(window_ms=300_000, image_token_rate=mult * mc),
+            LoadWindow(image_token_rate=mult * mc),
             {"image": PoolState(1, 1), "text": PoolState(1, 4)},
         ).targets["image"]
         table_ok &= got == max(1, int(np.ceil(mult - 1e-9)))

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lmmsim import experiment
 from lmmsim.cli import main
+from lmmsim.core import get_model_spec
 from lmmsim.engine import Simulation
 from lmmsim.experiment import (
     _capacity_probe_worker,
@@ -18,6 +20,7 @@ from lmmsim.experiment import (
     validate_config,
 )
 from lmmsim.metrics import miss_budget
+from lmmsim.profiles import default_profile
 
 BASE_CONFIG = {
     "model": "internvl-26b",
@@ -140,6 +143,28 @@ class TestSimulate:
         ({"seeds": []}, "seeds"),
         ({"seeds": [True]}, "seeds"),
         ({"cluster": {"servers": True, "gpus_per_server": 8}}, "cluster.servers"),
+        # The generator seeds the run's numpy RNG: only a JSON integer does.
+        ({"workload": {"generator": {"seed": 1.5}}}, "workload.generator.seed"),
+        ({"workload": {"generator": {"seed": True}}}, "workload.generator.seed"),
+        ({"workload": {"generator": {"seed": "3"}}}, "workload.generator.seed"),
+        # Keys with one value in every use are constants, not config keys.
+        ({"policies": {"shrink_windows": 5}}, "policies.shrink_windows"),
+        ({"policies": {"shrink_utilization": 0.7}}, "policies.shrink_utilization"),
+        ({"policies": {"attainment_threshold": 0.99}}, "policies.attainment_threshold"),
+        ({"slo": {"slo_factor": 5.0, "percentile": 0.99}}, "slo.percentile"),
+        # A TP degree the profile does not price, that no server holds, or
+        # that the encoder of the pool running it does not support.
+        ({"cluster": {"servers": 2, "gpus_per_server": 16},
+          "instances": {"text": {"count": 1, "tp": 16}, "image": {"count": 4, "tp": 1}}},
+         "instances.text.tp"),
+        ({"cluster": {"servers": 2, "gpus_per_server": 4},
+          "instances": {"text": {"count": 1, "tp": 8}, "image": {"count": 4, "tp": 1}}},
+         "instances.text.tp"),
+        ({"instances": {"text": {"count": 1, "tp": 4}, "image": {"count": 1, "tp": 3}}},
+         "instances.image.tp"),
+        ({"topology": "monolith", "instances": {"monolith": {"count": 1, "tp": 3}}},
+         "instances.monolith.tp"),
+        ({"model": {"spec_path": "models.json", "nme": "internvl-26b"}}, "model.nme"),
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)
@@ -153,6 +178,12 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seeds", seeds]) == 2
         assert "--seeds" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-3, 0, 7])
+    def test_generator_seed_takes_any_integer(self, seed):
+        # A negative seed stays valid: each run offsets it by its run seed.
+        raw = {**BASE_CONFIG, "workload": {"generator": {"base_rate": 2.0, "seed": seed}}}
+        assert validate_config(config_from_dict(raw)).source.seed == seed
 
     def test_auto_instances_runs(self, tmp_path):
         cfg = write_config(tmp_path, {"instances": "auto", "seeds": [1]})
@@ -435,3 +466,116 @@ class TestCalibrate:
 
     def test_unknown_model_is_runtime_error(self, tmp_path):
         assert main(["calibrate", "--model", "nope", "--out", str(tmp_path)]) == 1
+
+
+def _preset(name):
+    """A bundled model spec entry, as a spec file holds it."""
+    data = Path(experiment.__file__).parent / "data" / "model_presets.json"
+    return next(e for e in json.loads(data.read_text()) if e["name"] == name)
+
+
+def _profile_dict():
+    return default_profile(get_model_spec("internvl-26b")).to_dict()
+
+
+def _bundled_targets():
+    data = Path(experiment.__file__).parent / "data" / "calibration_targets.json"
+    return json.loads(data.read_text())["internvl-26b"]
+
+
+_DELETE = object()
+
+
+def _changed(d, path, value=_DELETE):
+    """A copy of ``d`` with the key at the dotted ``path`` set to ``value``, or deleted."""
+    d = json.loads(json.dumps(d))
+    *parents, key = path.split(".")
+    inner = d
+    for p in parents:
+        inner = inner[p]
+    if value is _DELETE:
+        del inner[key]
+    else:
+        inner[key] = value
+    return d
+
+
+class TestInputFiles:
+    """The model spec file, the profile file and ``calibrate --targets`` are
+    checked as configs are: a missing, unknown or bad key exits 2 naming it."""
+
+    @pytest.mark.parametrize("path, value, key", [
+        ("thumbnail_tiles", True, "thumbnail_tiles"),
+        ("tokens_per_tile", _DELETE, "tokens_per_tile"),
+        ("tile_edge_px", 0, "tile_edge_px"),
+        ("tile_edge_px", "wide", "tile_edge_px"),
+        ("tile_edge_px", 448.9, "tile_edge_px"),
+        ("thumbnail_tile", "no", "thumbnail_tile"),
+        ("supported_tp_encoder", [1, 2.5], "supported_tp_encoder"),
+        ("architecture", "moe", "architecture"),
+    ])
+    def test_spec_file(self, tmp_path, capsys, path, value, key):
+        (tmp_path / "models.json").write_text(json.dumps([_changed(_preset("internvl-26b"), path, value)]))
+        cfg = write_config(tmp_path, {"model": {"spec_path": "models.json", "name": "internvl-26b"}})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "model.spec_path" in err and key in err
+
+    @pytest.mark.parametrize("path, value, key", [
+        ("prep_floor_mss", 1.0, "prep_floor_mss"),
+        ("ttft_breakdown.decode", 0.1, "ttft_breakdown.decode"),
+        ("tbt_base_ms", _DELETE, "tbt_base_ms"),
+        ("prefill_ms_per_token", None, "prefill_ms_per_token"),
+        ("encode_ms_per_tile", {}, "encode_ms_per_tile"),
+        ("ref_image_px", [896], "ref_image_px"),
+        ("ref_cpu_cores", 8.5, "ref_cpu_cores"),
+        ("model", "llama3.2-11b", "llama3.2-11b"),
+    ])
+    def test_profile_file(self, tmp_path, capsys, path, value, key):
+        (tmp_path / "profile.json").write_text(json.dumps(_changed(_profile_dict(), path, value)))
+        cfg = write_config(tmp_path, {"profile": "profile.json"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "profile" in err and key in err
+
+    def test_saved_profile_runs(self, tmp_path):
+        (tmp_path / "profile.json").write_text(json.dumps(_profile_dict()))
+        cfg = write_config(tmp_path, {"profile": "profile.json", "seeds": [1]})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("path, value, key", [
+        ("decode_batch_slop", 0.05, "decode_batch_slop"),
+        ("tp_scaling", _DELETE, "tp_scaling"),
+        ("tp_scaling.decode", _DELETE, "tp_scaling.decode"),
+        ("ttft_breakdown.encode", "x", "ttft_breakdown.encode"),
+        ("ref_cpu_cores", [8], "ref_cpu_cores"),
+        ("ref_image_px", [896.5, 896], "ref_image_px"),
+    ])
+    def test_targets_file(self, tmp_path, capsys, path, value, key):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"internvl-26b": _changed(_bundled_targets(), path, value)}))
+        code = main(["calibrate", "--model", "internvl-26b", "--targets", str(targets),
+                     "--out", str(tmp_path / "p"), "--force"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--targets" in err and key in err
+
+    def test_bundled_targets_file_calibrates(self, tmp_path):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps(_bundled_targets()))
+        assert main(["calibrate", "--model", "internvl-26b", "--targets", str(targets),
+                     "--out", str(tmp_path / "p"), "--force"]) == 0
+        saved = json.loads((tmp_path / "p" / "internvl-26b.json").read_text())
+        assert saved == _profile_dict()
+
+
+def test_every_config_key_is_documented():
+    # A key a config may set is named in README.md after a backtick, bare
+    # or with its section (e.g. `policies.router`).
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    keys = [("", k) for k in experiment._TOP_LEVEL_KEYS]
+    keys += [(f"{section}.", k) for section in ("policies", "slo", "transfer", "cluster", "capacity")
+             for k in experiment._SECTION_KEYS[section]]
+    undocumented = sorted(prefix + k for prefix, k in keys
+                          if not re.search(rf"`({re.escape(prefix)})?{re.escape(k)}\b", readme))
+    assert not undocumented

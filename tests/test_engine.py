@@ -290,8 +290,7 @@ class TestScaling:
 
     def test_added_instances_start_delayed(self):
         sim = self._scale_sim(None)
-        sim.apply_scaling(ScalingDecision(
-            targets={"image": 4, "text": 1}, tp={"image": 1, "text": 4}))
+        sim.apply_scaling(ScalingDecision(targets={"image": 4, "text": 1}))
         starting = [i for i in sim.instances.values() if i.state.value == "starting"]
         assert len(starting) == 2
         # Starting instances are not routable yet.
@@ -315,8 +314,7 @@ class TestScaling:
         def arrival_then_drain(idx):
             orig_tick(idx)
             if not drained:
-                sim.apply_scaling(ScalingDecision(
-                    targets={"image": 1, "text": 1}, tp={"image": 1, "text": 4}))
+                sim.apply_scaling(ScalingDecision(targets={"image": 1, "text": 1}))
                 drained["done"] = True
 
         sim._on_arrival = arrival_then_drain
@@ -328,8 +326,7 @@ class TestScaling:
 
     def test_scale_to_zero_text_rejected(self):
         sim = self._scale_sim(None)
-        sim.apply_scaling(ScalingDecision(
-            targets={"image": 2, "text": 0}, tp={"image": 1, "text": 4}))
+        sim.apply_scaling(ScalingDecision(targets={"image": 2, "text": 0}))
         live_text = [i for i in sim.instances.values()
                      if i.pool == "text" and i.state.value in ("active", "starting")]
         assert len(live_text) == 1
@@ -346,8 +343,7 @@ class TestScaling:
         reqs = [make_request(i, 100.0 * i, text=300, n_images=1) for i in range(20)]
         sim = make_sim(reqs, plan=[InstancePlan("text", 4, 1), InstancePlan("image", 1, 2)],
                        servers=[ServerSpec(0, 8, 16)])
-        sim.apply_scaling(ScalingDecision(
-            targets={"image": 40, "text": 1}, tp={"image": 1, "text": 4}))
+        sim.apply_scaling(ScalingDecision(targets={"image": 40, "text": 1}))
         log = sim.run()
         assert log.completed == 20
         assert any("unplaced" in f for e in log.scale_events for f in e["flags"])
@@ -381,8 +377,8 @@ class TestDrainWaitsForRoutedWork:
                 make_request(1, 1.0, text=100, n_images=1)]
         sim = make_sim(reqs, plan=[InstancePlan("text", 2, 2), InstancePlan("image", 1, 4)],
                        transfer=TransferMedium.TCP)
-        self._scale_after(sim, "_route_to_text_pool", 1, ScalingDecision(
-            targets={"text": 1, "image": 4}, tp={"text": 2, "image": 1}))
+        self._scale_after(sim, "_route_to_text_pool", 1,
+                          ScalingDecision(targets={"text": 1, "image": 4}))
         log = sim.run()
         assert log.completed == 2
         rec = log.records[1]
@@ -398,9 +394,8 @@ class TestDrainWaitsForRoutedWork:
                        plan=[InstancePlan("prefill", 2, 1), InstancePlan("decode", 2, 2),
                              InstancePlan("image", 1, 2)],
                        transfer=TransferMedium.TCP)
-        self._scale_after(sim, "_route_to_decode_pool", 1, ScalingDecision(
-            targets={"prefill": 1, "decode": 1, "image": 2},
-            tp={"prefill": 2, "decode": 2, "image": 1}))
+        self._scale_after(sim, "_route_to_decode_pool", 1,
+                          ScalingDecision(targets={"prefill": 1, "decode": 1, "image": 2}))
         log = sim.run()
         assert log.completed == 2
         assert self._stopped(sim, "decode").stopped_ms >= log.records[1].completion_ms
@@ -438,8 +433,7 @@ class TestLoadIndex:
             sim._decode_admit(active[n % len(active)], rid, 10)
         elif kind == "scale":
             sim.apply_scaling(ScalingDecision(
-                targets={"prefill": n, "decode": rest[0], "image": rest[1]},
-                tp={"prefill": 2, "decode": 2, "image": 1}))
+                targets={"prefill": n, "decode": rest[0], "image": rest[1]}))
         else:
             starting = [i for i in insts if i.state is InstanceState.STARTING]
             if starting:
@@ -521,12 +515,10 @@ class TestConservation:
             orig(idx)
             n = len(fired)
             if n == 0:
-                sim.apply_scaling(ScalingDecision(
-                    targets={"image": 4, "text": 1}, tp={"image": 1, "text": 4}))
+                sim.apply_scaling(ScalingDecision(targets={"image": 4, "text": 1}))
                 fired[0] = True
             elif n == 1 and sim.now > 2000:
-                sim.apply_scaling(ScalingDecision(
-                    targets={"image": 1, "text": 1}, tp={"image": 1, "text": 4}))
+                sim.apply_scaling(ScalingDecision(targets={"image": 1, "text": 1}))
                 fired[1] = True
 
         sim._on_arrival = arrival_with_churn
@@ -540,8 +532,7 @@ class TestStartDelay:
         reqs = [make_request(0, 0.0, text=100, n_images=1, out=1)]
         sim = make_sim(reqs, plan=[InstancePlan("text", 4, 1), InstancePlan("image", 1, 1)],
                        servers=[ServerSpec(0, 8, 16)], start_delay_ms=10_000.0)
-        sim.apply_scaling(ScalingDecision(targets={"image": 2, "text": 1},
-                                          tp={"image": 1, "text": 4}))
+        sim.apply_scaling(ScalingDecision(targets={"image": 2, "text": 1}))
         log = sim.run()
         rec = log.records[0]
         # Work ran on the原 active instance; the new one was still starting.
@@ -582,8 +573,7 @@ class TestDeadlock:
         # An image request with an image pool that never activates.
         req = make_request(0, 0.0, text=100, n_images=1)
         sim = make_sim([req], plan=[InstancePlan("text", 4, 1), InstancePlan("image", 1, 1)])
-        sim.apply_scaling(ScalingDecision(targets={"image": 0, "text": 1},
-                                          tp={"image": 1, "text": 4}))
+        sim.apply_scaling(ScalingDecision(targets={"image": 0, "text": 1}))
         assert [i.state for i in sim.instances.values() if i.pool == "image"] == [
             InstanceState.STOPPED]
         with pytest.raises(SimulationError, match="deadlock"):

@@ -6,6 +6,7 @@ that alters any of these outputs on purpose updates the pins and says why
 in CHANGES.md.
 """
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -119,7 +120,7 @@ PINS = {
 
 
 def request_digests(raw: dict, out_dir: Path) -> dict[str, str]:
-    run_experiment(config_from_dict(raw, CONFIGS), out_dir=out_dir, parallel=False)
+    run_experiment(config_from_dict(raw, CONFIGS), out_dir=out_dir)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out_dir.glob("requests_seed*.csv"))}
 
@@ -186,5 +187,7 @@ def test_auto_sizing_generates_each_workload_once(tmp_path, monkeypatch):
         return generate(cfg, horizon_ms)
 
     monkeypatch.setattr(experiment, "generate", counted)
+    # Run the seeds in this process, where the calls are counted.
+    monkeypatch.setattr(experiment, "_pool", lambda n_jobs: contextlib.nullcontext())
     assert request_digests(README_AUTO, tmp_path) == README_AUTO_PIN
     assert seeds == [1, 2, 3]  # the generator's seed 0 plus each run seed, once each

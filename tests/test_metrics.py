@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import make_request, make_sim
 from lmmsim.engine import MetricsLog, RequestRecord
 from lmmsim.metrics import (
+    MAX_DOUBLINGS,
     AttainmentWindow,
     cost_summary,
     max_throughput,
@@ -183,5 +184,6 @@ class TestMaxThroughput:
         assert result.probes[0] == (1.0, True)
 
     def test_everything_feasible_returns_cap(self):
-        result = max_throughput(lambda r: True, lo=1.0, hi=2.0, max_doublings=4)
-        assert result.rate == pytest.approx(16.0)
+        result = max_throughput(lambda r: True, lo=1.0, hi=2.0)
+        assert result.rate == 2.0 ** MAX_DOUBLINGS
+        assert len(result.probes) == 1 + MAX_DOUBLINGS

@@ -13,6 +13,7 @@ from lmmsim.experiment import build_simulation, config_from_dict, validate_confi
 from lmmsim.policies import (
     AutoscalerKind,
     LoadWindow,
+    NO_HISTORY_TARGETS,
     PlacementKind,
     PolicySet,
     POOL_ROLES,
@@ -202,14 +203,13 @@ class TestAutoscaler:
     def test_ceiling_rule(self):
         scaler = _autoscaler()
         mc = scaler._capacity("image", 1)
-        window = LoadWindow(window_ms=300_000, image_token_rate=2.5 * mc,
-                            text_token_rate=0.0, slo_attainment=1.0)
+        window = LoadWindow(image_token_rate=2.5 * mc, text_token_rate=0.0, slo_attainment=1.0)
         decision = scaler.decide(window, {"image": PoolState(1, 1), "text": PoolState(1, 4)})
         assert decision.targets["image"] == 3
 
     def test_zero_load_floors_at_one(self):
         scaler = _autoscaler()
-        window = LoadWindow(window_ms=300_000)
+        window = LoadWindow()
         decision = scaler.decide(window, {"image": PoolState(3, 1), "text": PoolState(2, 4)})
         # Hysteresis holds counts for one window, then shrinks to the floor.
         decision = scaler.decide(window, {"image": PoolState(3, 1), "text": PoolState(2, 4)})
@@ -222,7 +222,7 @@ class TestAutoscaler:
         pools = {"image": PoolState(1, 1), "text": PoolState(1, 4)}
         counts = []
         for mult in (0.5, 1.1, 2.2, 4.4, 8.8):
-            window = LoadWindow(window_ms=300_000, image_token_rate=mult * mc)
+            window = LoadWindow(image_token_rate=mult * mc)
             counts.append(
                 TokenAwareAutoscaler(PROFILES["internvl-26b"], make_slo(model="internvl-26b"),
                                      PolicySet(topology=Topology.DECOUPLED), 1024).decide(
@@ -234,7 +234,7 @@ class TestAutoscaler:
         scaler = _autoscaler()
         mc = scaler._capacity("image", 1)
         window = LoadWindow(
-            window_ms=300_000, image_token_rate=1.5 * mc, text_token_rate=0.0,
+            image_token_rate=1.5 * mc, text_token_rate=0.0,
             slo_attainment=0.95, completed=100,
             queue_delay_ms={"encode": 900.0, "prefill": 10.0},
         )
@@ -254,9 +254,8 @@ class TestAutoscaler:
         names = ["decode", *others] if decode_first else [*others, "decode"]
         pools = {name: PoolState(2, 1 if name == "image" else 4) for name in names}
         delays = {"encode": 10.0, "prefill": 10.0, stage: 900.0}
-        met = LoadWindow(window_ms=300_000, completed=100, queue_delay_ms=delays)
-        short = LoadWindow(window_ms=300_000, completed=100, slo_attainment=0.5,
-                           queue_delay_ms=delays)
+        met = LoadWindow(completed=100, queue_delay_ms=delays)
+        short = LoadWindow(completed=100, slo_attainment=0.5, queue_delay_ms=delays)
         base = _autoscaler(topology=topology, budget=1024).decide(met, pools).targets
         got = _autoscaler(topology=topology, budget=1024).decide(short, pools).targets
         assert got == {**base, pool: base[pool] + 1}
@@ -265,7 +264,7 @@ class TestAutoscaler:
         scaler = _autoscaler()
         mc = scaler._capacity("image", 1)
         pools = {"image": PoolState(4, 1), "text": PoolState(1, 4)}
-        low = LoadWindow(window_ms=300_000, image_token_rate=0.5 * mc)
+        low = LoadWindow(image_token_rate=0.5 * mc)
         first = scaler.decide(low, pools)
         assert first.targets["image"] == 4  # held
         second = scaler.decide(low, pools)
@@ -274,7 +273,7 @@ class TestAutoscaler:
     def test_clamped_to_inventory(self):
         scaler = _autoscaler(budget=6)
         mc = scaler._capacity("image", 1)
-        window = LoadWindow(window_ms=300_000, image_token_rate=20 * mc)
+        window = LoadWindow(image_token_rate=20 * mc)
         decision = scaler.decide(window, {"image": PoolState(1, 1), "text": PoolState(1, 4)})
         used = decision.targets["image"] * 1 + decision.targets["text"] * 4
         assert used <= 6
@@ -285,14 +284,14 @@ class TestAutoscaler:
         mc = scaler._capacity("image", 1)
         pools = {"image": PoolState(1, 1), "text": PoolState(1, 4)}
         a = _autoscaler().decide(
-            LoadWindow(window_ms=300_000, image_token_rate=3.3 * mc), pools).targets["image"]
+            LoadWindow(image_token_rate=3.3 * mc), pools).targets["image"]
         # Same ratio of load to capacity at a different absolute scale.
         slo2 = make_slo(model="internvl-26b", factor=10.0)
         scaler2 = TokenAwareAutoscaler(PROFILES["internvl-26b"], slo2,
                                        PolicySet(topology=Topology.DECOUPLED), 64)
         mc2 = scaler2._capacity("image", 1)
         b = scaler2.decide(
-            LoadWindow(window_ms=300_000, image_token_rate=3.3 * mc2), pools).targets["image"]
+            LoadWindow(image_token_rate=3.3 * mc2), pools).targets["image"]
         assert a == b
 
 
@@ -316,8 +315,8 @@ class TestAutoscaler:
         pd = _autoscaler(model, Topology.MONOLITH_PD)
         for tp in MODELS[model].supported_tp_encoder:
             assert pd._capacity("prefill", tp) == mono._capacity("monolith", tp)
-        window = LoadWindow(window_ms=300_000, image_token_rate=3_000.0,
-                            text_token_rate=5_000.0, output_token_rate=700.0)
+        window = LoadWindow(image_token_rate=3_000.0, text_token_rate=5_000.0,
+                            output_token_rate=700.0)
         assert pd._load("prefill", window) == mono._load("monolith", window) == 8_000.0
 
     def test_simulation_built_directly_scales(self):
@@ -342,17 +341,11 @@ class TestInitialSizing:
             empty=False, median_image_qps=10.0,
             median_images_per_request=4.0, median_image_tiles=float(tiles),
         )
-        decision = initial_sizing(summary, profile, make_slo(model="internvl-26b"),
-                                  image_tp=1, text_tp=4)
-        assert decision.targets["image"] == 8
-        assert decision.targets["text"] == 2
+        assert initial_sizing(summary, profile, image_tp=1) == {"image": 8, "text": 2}
 
     def test_no_history_overprovisions(self):
-        decision = initial_sizing(WorkloadSummary(empty=True), PROFILES["internvl-26b"],
-                                  make_slo(model="internvl-26b"), 1, 4,
-                                  overprovision=(6, 3))
-        assert decision.targets == {"image": 6, "text": 3}
-        assert decision.flags
+        targets = initial_sizing(WorkloadSummary(empty=True), PROFILES["internvl-26b"], 1)
+        assert targets == NO_HISTORY_TARGETS == {"image": 4, "text": 4}
 
 
 class TestSelectSharding:
@@ -399,38 +392,37 @@ class TestSelectSharding:
 class TestPlacement:
     def test_colocate_example(self):
         servers = [ServerView(0, 8, 8), ServerView(1, 8, 8)]
-        placements, unplaced, ok = place(
+        placements, unplaced = place(
             [("text", 4), ("image", 2), ("image", 2)], servers, PlacementKind.COLOCATE)
-        assert ok
+        assert not unplaced
         assert {s for _, _, s in placements} == {0}
 
     def test_tp8_text_alone(self):
         servers = [ServerView(0, 8, 8), ServerView(1, 8, 8)]
-        placements, _, ok = place(
+        placements, unplaced = place(
             [("text", 8), ("image", 1)], servers, PlacementKind.COLOCATE)
         text_srv = next(s for k, _, s in placements if k == "text")
         img_srv = next(s for k, _, s in placements if k == "image")
-        assert ok and img_srv != text_srv
+        assert not unplaced and img_srv != text_srv
 
     def test_spread_round_robin(self):
         servers = [ServerView(i, 8, 8) for i in range(4)]
-        placements, _, ok = place(
+        placements, unplaced = place(
             [("image", 1)] * 4, servers, PlacementKind.SPREAD)
-        assert ok
+        assert not unplaced
         assert [s for _, _, s in placements] == [0, 1, 2, 3]
 
     def test_impossible_fit_flagged(self):
         servers = [ServerView(0, 4, 4)]
-        placements, unplaced, ok = place(
+        placements, unplaced = place(
             [("text", 4), ("text", 4)], servers, PlacementKind.COLOCATE)
-        assert not ok
         assert len(placements) == 1 and len(unplaced) == 1
 
     def test_no_gpu_left_unused_while_unplaced(self):
         servers = [ServerView(0, 8, 8), ServerView(1, 8, 8)]
         additions = [("text", 4)] + [("image", 1)] * 12
-        placements, unplaced, ok = place(additions, servers, PlacementKind.COLOCATE)
-        assert ok
+        placements, unplaced = place(additions, servers, PlacementKind.COLOCATE)
+        assert not unplaced
         used = {}
         for _, tp, s in placements:
             used[s] = used.get(s, 0) + tp
