@@ -18,9 +18,10 @@ import math
 import operator
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
+from collections.abc import Callable
 # Bound here, so bench/tracing.py's stand-in ``heapq`` sees only event-heap calls.
 from heapq import heappop as _heappop, heappush as _heappush
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -88,7 +89,6 @@ class WorkItem:
     ttft_slo_ms: float
     req: Request
     rec: RequestRecord
-    shard_id: int = 0
 
 
 def form_batch(queue: list[WorkItem], now: float, scheduler: SchedulerKind,
@@ -338,9 +338,6 @@ class RequestRecord:
     prefill_end_ms: float | None = None
     completion_ms: float | None = None
     ttft_ms: float | None = None
-    # Per-shard preprocess/encode stamps; aggregate fields above hold
-    # first-start / last-end across shards.
-    shards: dict[int, dict] = field(default_factory=dict)
     tbt_p99_ms: float | None = None
     ttft_slo_ms: float = 0.0
     tbt_slo_ms: float = 0.0
@@ -375,7 +372,8 @@ class MetricsLog:
         self.arrived = 0
         self.completed = 0
         # When a run ended before its horizon because a miss budget was
-        # exceeded (Simulation.stop_when_missed); None for a full run.
+        # exceeded or its verdict was decided elsewhere
+        # (Simulation.stop_when_missed); None for a full run.
         self.stopped_ms: float | None = None
 
     @property
@@ -439,13 +437,12 @@ EV_DECODE_ARRIVAL = 5
 EV_ARRIVAL = 6
 EV_SCALE_TICK = 7
 
-# The RequestRecord stamps of each stage a batch lane runs: the fields for the
-# first start and the last end across a request's shards, then the per-shard
-# keys (prefill runs once per request, unsharded).
+# The RequestRecord stamps of each stage a batch lane runs: the first start
+# and the last end across a request's shards.
 _STAMPS = {
-    StageKind.PREPROCESS: ("prep_start_ms", "prep_end_ms", "prep_start", "prep_end"),
-    StageKind.ENCODE: ("encode_start_ms", "encode_end_ms", "encode_start", "encode_end"),
-    StageKind.PREFILL: ("prefill_start_ms", "prefill_end_ms", None, None),
+    StageKind.PREPROCESS: ("prep_start_ms", "prep_end_ms"),
+    StageKind.ENCODE: ("encode_start_ms", "encode_end_ms"),
+    StageKind.PREFILL: ("prefill_start_ms", "prefill_end_ms"),
 }
 
 
@@ -611,24 +608,31 @@ class Simulation:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def stop_when_missed(self, budgets: dict[str, int], after_ms: float) -> None:
-        """End the run once a group's SLO misses exceed its budget.
+    def stop_when_missed(self, budgets: dict[str, int], after_ms: float,
+                         decided: Callable[[], bool] | None = None) -> None:
+        """End the run once a group's SLO misses exceed its budget, or once
+        ``decided()`` is true.
 
         The groups are "text-only" and "image-text" (TTFT over its SLO) and
         "tbt" (TBT P99 over its SLO). Misses are counted as requests that
-        arrived at or after ``after_ms`` complete. The run ends at the next
-        event and its log's ``stopped_ms`` says when; the partial log means
-        nothing beyond the exceeded budget.
+        arrived at or after ``after_ms`` complete; ``decided`` is polled at
+        every completion. The run ends at the next event and its log's
+        ``stopped_ms`` says when; the partial log means nothing beyond the
+        reason it stopped.
         """
         self._miss_budget = dict(budgets)
         self._misses = dict.fromkeys(budgets, 0)
         self._miss_after_ms = after_ms
+        self._decided = decided
 
     def _missed(self, group: str) -> None:
         self._misses[group] += 1
         if self._misses[group] > self._miss_budget[group]:
-            self.log.stopped_ms = self.now
-            self._stop_ms = -math.inf  # the loop's next pop ends the run
+            self._stop()
+
+    def _stop(self) -> None:
+        self.log.stopped_ms = self.now
+        self._stop_ms = -math.inf  # the loop's next pop ends the run
 
     def run(self) -> MetricsLog:
         self._push_arrival(0)
@@ -716,8 +720,8 @@ class Simulation:
             self.image_waiting.append((req, rec))
             return
         self.shards_pending[req.id] = len(assignment)
-        for shard_id, (inst, image_idx) in enumerate(assignment):
-            self._enqueue_shard(inst, req, rec, image_idx, shard_id, reserve=True)
+        for inst, image_idx in assignment:
+            self._enqueue_shard(inst, req, rec, image_idx, reserve=True)
 
     def _route_to_text_pool(self, req: Request, rec: RequestRecord) -> None:
         """Reserve a text instance: on arrival, or once a request's images are encoded."""
@@ -727,7 +731,7 @@ class Simulation:
             self._enqueue_prefill(inst, req, rec)
         elif self.roles.colocated_encoder:
             # The whole pipeline runs on this one instance.
-            self._enqueue_shard(inst, req, rec, list(range(len(req.images))), 0, reserve=False)
+            self._enqueue_shard(inst, req, rec, list(range(len(req.images))), reserve=False)
         else:
             delay = sample_transfer_ms(self.transfer_medium, self.rng)
             self._push(self.now + delay, EV_TRANSFER_DONE, (req, rec, inst))
@@ -764,20 +768,19 @@ class Simulation:
     # ------------------------------------------------------------------
     # Batch lanes: CPU (preprocess) and GPU (encode + prefill)
     # ------------------------------------------------------------------
-    def _new_item(self, req: Request, rec: RequestRecord, stage: StageKind, tiles: int,
-                  shard_id: int = 0) -> WorkItem:
+    def _new_item(self, req: Request, rec: RequestRecord, stage: StageKind, tiles: int) -> WorkItem:
         self._next_item_seq += 1
         size = (req.text_tokens + req.total_image_tokens if stage is StageKind.PREFILL
                 else tiles * self.model.tokens_per_tile)
         return WorkItem(self._next_item_seq, stage, size, tiles, self.now,
-                        self._ttft_slo_ms[req.is_multimodal], req, rec, shard_id)
+                        self._ttft_slo_ms[req.is_multimodal], req, rec)
 
     def _enqueue_shard(self, inst: Instance, req: Request, rec: RequestRecord,
-                       image_idx: list[int], shard_id: int, reserve: bool) -> None:
+                       image_idx: list[int], reserve: bool) -> None:
         tiles = sum(req.images[k].tiles for k in image_idx)
         if reserve:
             self._reserve(inst, req.id, 0, tiles * self.model.tokens_per_tile)
-        inst.cpu.queue.append(self._new_item(req, rec, StageKind.PREPROCESS, tiles, shard_id))
+        inst.cpu.queue.append(self._new_item(req, rec, StageKind.PREPROCESS, tiles))
         self._dispatch(inst, inst.cpu)
 
     def _enqueue_prefill(self, inst: Instance, req: Request, rec: RequestRecord) -> None:
@@ -805,13 +808,11 @@ class Simulation:
         batch = form_batch(lane.queue, now, self.policies.scheduler,
                            self.policies.aging_slo_fraction, self.max_batch)
         stage = batch[0].stage
-        start, _, shard_start, _ = _STAMPS[stage]
+        start = _STAMPS[stage][0]
         for it in batch:
             rec = it.rec
             if getattr(rec, start) is None:
                 setattr(rec, start, now)
-            if shard_start:
-                rec.shards.setdefault(it.shard_id, {})[shard_start] = now
         wait = self._win_wait.get(stage)
         if wait is not None:
             for it in batch:
@@ -824,15 +825,13 @@ class Simulation:
         inst, lane, batch = data
         lane.busy = False
         stage = batch[0].stage
-        _, end, _, shard_end = _STAMPS[stage]
+        end = _STAMPS[stage][1]
         now = self.now
         for it in batch:
             req, rec = it.req, it.rec
             setattr(rec, end, now)
-            if shard_end:
-                rec.shards[it.shard_id][shard_end] = now
             if stage is StageKind.PREPROCESS:
-                inst.gpu.queue.append(self._new_item(req, rec, StageKind.ENCODE, it.tiles, it.shard_id))
+                inst.gpu.queue.append(self._new_item(req, rec, StageKind.ENCODE, it.tiles))
             elif stage is StageKind.ENCODE:
                 self._encode_item_done(inst, req, rec)
             else:
@@ -911,11 +910,14 @@ class Simulation:
             rec.tbt_p99_ms = tbt_p99 = weighted_quantile(tbt, 0.99)
             tbt_ok = tbt_p99 <= rec.tbt_slo_ms
         rec.slo_ok = ok = ttft_ok and tbt_ok
-        if self._miss_budget is not None and rec.arrival_ms >= self._miss_after_ms:
-            if not ttft_ok:
-                self._missed(rec.modality)
-            if not tbt_ok:
-                self._missed("tbt")
+        if self._miss_budget is not None:
+            if rec.arrival_ms >= self._miss_after_ms:
+                if not ttft_ok:
+                    self._missed(rec.modality)
+                if not tbt_ok:
+                    self._missed("tbt")
+            if self._decided is not None and self._decided():
+                self._stop()
         self.log.completed += 1
         self._win_completed += 1
         self._win_slo_ok += ok

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import contextlib
 import json
+import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 from .core import ModelSpec, Request, SLOSpec, get_model_spec, load_model_specs
@@ -189,8 +190,9 @@ class Experiment:
         """The initial pools; "auto" sizes them from this seed's workload at the config's rate and horizon."""
         if self.instance_plan is not None:
             return self.instance_plan
-        image_tp, _ = select_sharding("image", self.model, self.profile, self.slo)
-        text_tp, _ = select_sharding("text", self.model, self.profile, self.slo)
+        gpus = self.servers[0].gpus
+        image_tp, _ = select_sharding("image", self.model, self.profile, self.slo, gpus)
+        text_tp, _ = select_sharding("text", self.model, self.profile, self.slo, gpus)
         workload = self.workload(seed, self.rate_multiplier, self.horizon_ms) if workload is None else workload
         targets = initial_sizing(summarize(workload), self.profile, image_tp)
         return [InstancePlan("image", image_tp, targets["image"]),
@@ -409,6 +411,12 @@ def _instance_plan(inst, topology: Topology, profile: LatencyProfile,
     if inst == "auto":
         if topology is not Topology.DECOUPLED:
             raise ConfigError("instances", "auto sizing supports the decoupled topology only")
+        # A text instance can always take TP 1; the image pool needs an encoder TP.
+        encoder_tps = sorted(profile.model.supported_tp_encoder)
+        if encoder_tps[0] > gpus_per_server:
+            raise ConfigError("instances", f"auto sizing needs an encoder TP of at most "
+                                           f"cluster.gpus_per_server ({gpus_per_server}); "
+                                           f"the encoder supports {encoder_tps}")
         return None
     if not isinstance(inst, dict):
         raise ConfigError("instances", "must be 'auto' or a pool mapping")
@@ -525,12 +533,26 @@ def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
 # Worker processes of a pool; a capacity probe keeps at most this many seeds running.
 _POOL_WORKERS = max(1, min(os.cpu_count() or 1, 8))
 
+# In a pool worker, the shared number of the last capacity probe a failed
+# seed decided (see run_capacity); None elsewhere.
+_decided_probe = None
 
-def _pool(n_jobs: int):
+
+def _init_worker(decided_probe) -> None:
+    global _decided_probe
+    _decided_probe = decided_probe
+
+
+def _pool(n_jobs: int, decided_probe=None):
     """A process pool for batches of ``n_jobs`` jobs, or a null context (no
-    pool) when there is only one job at a time to run."""
+    pool) when there is only one job at a time to run.
+
+    Each worker receives ``decided_probe`` through its initializer, so it
+    reaches workers under every start method, not only under fork.
+    """
     if n_jobs > 1:
-        return ProcessPoolExecutor(max_workers=_POOL_WORKERS)
+        return ProcessPoolExecutor(max_workers=_POOL_WORKERS, initializer=_init_worker,
+                                   initargs=(decided_probe,))
     return contextlib.nullcontext()
 
 
@@ -588,7 +610,13 @@ def aggregate_summaries(results: list[dict]) -> dict:
 # ----------------------------------------------------------------------
 # Capacity search
 # ----------------------------------------------------------------------
-def _capacity_probe_worker(exp: Experiment, seed: int, rate: float, horizon_ms: float) -> dict:
+def _capacity_probe_worker(exp: Experiment, seed: int, rate: float, horizon_ms: float,
+                           probe: int) -> dict:
+    """One seed's verdict in capacity probe number ``probe``.
+
+    In a pool worker the run also stops at the first completion after
+    another seed has failed the probe; it then reports ``abandoned``.
+    """
     sim = build_simulation(exp, seed, rate_multiplier=rate, horizon_ms=horizon_ms)
     # A group's P99 fails once more of its post-warm-up arrivals (the
     # workload ends at the horizon) miss than the P99 of all of them could
@@ -597,12 +625,15 @@ def _capacity_probe_worker(exp: Experiment, seed: int, rate: float, horizon_ms: 
     cutoff = exp.warmup_fraction * horizon_ms
     counted = [r.is_multimodal for r in sim.workload if r.arrival_ms >= cutoff]
     n_image = sum(counted)
-    sim.stop_when_missed({"text-only": miss_budget(len(counted) - n_image, 0.99),
-                          "image-text": miss_budget(n_image, 0.99),
-                          "tbt": miss_budget(len(counted), 0.99)}, cutoff)
+    budgets = {"text-only": miss_budget(len(counted) - n_image, 0.99),
+               "image-text": miss_budget(n_image, 0.99),
+               "tbt": miss_budget(len(counted), 0.99)}
+    decided = None if _decided_probe is None else lambda: _decided_probe.value == probe
+    sim.stop_when_missed(budgets, cutoff, decided)
     log = sim.run()
     if log.stopped_ms is not None:
-        return {"seed": seed, "ok": False, "stopped_ms": log.stopped_ms}
+        return {"seed": seed, "ok": False, "abandoned": decided is not None and decided(),
+                "stopped_ms": log.stopped_ms}
     latency = summarize_latency(log, exp.warmup_fraction)
     checks = {}
     for group, multimodal in (("text-only", False), ("image-text", True)):
@@ -621,15 +652,20 @@ def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
 
     Each probe simulates each capacity seed at most once; runs are
     deterministic, so a repeated seed would add nothing. A probe passes when
-    every seed passes, so it starts no further seed once one has failed.
+    every seed passes, so once one seed has failed it starts no further
+    seed, and the seeds still running stop at their next completion: the
+    probe's number goes into a shared integer that their workers poll.
     """
     exp = validate_config(cfg)
     lo, hi, rel_tol, horizon, seeds = exp.capacity
     base_rate = _offered_rate(exp)
+    decided_probe = multiprocessing.Value("q", 0, lock=False)  # only this process writes it
+    numbers = count(1)
 
-    with _pool(len(seeds)) as pool:
+    with _pool(len(seeds), decided_probe) as pool:
         def probe(multiplier: float) -> bool:
-            jobs = ((exp, s, multiplier, horizon) for s in seeds)
+            number = next(numbers)
+            jobs = ((exp, s, multiplier, horizon, number) for s in seeds)
             if pool is None:
                 return all(_capacity_probe_worker(*job)["ok"] for job in jobs)
             running = {pool.submit(_capacity_probe_worker, *job) for job in islice(jobs, _POOL_WORKERS)}
@@ -640,6 +676,8 @@ def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
                 if ok:  # refill the freed workers
                     running |= {pool.submit(_capacity_probe_worker, *job)
                                 for job in islice(jobs, len(done))}
+                else:  # decided: the seeds still running can stop
+                    decided_probe.value = number
             return ok
 
         result = max_throughput(probe, lo, hi, rel_tol=rel_tol)

@@ -341,8 +341,10 @@ def initial_sizing(summary: WorkloadSummary, profile: LatencyProfile, image_tp: 
     return {"image": n_image, "text": n_text}
 
 
-def select_sharding(kind: str, model: ModelSpec, profile: LatencyProfile, slo: SLOSpec) -> tuple[int, bool]:
-    """TP degree maximizing per-GPU capacity among SLO-feasible choices.
+def select_sharding(kind: str, model: ModelSpec, profile: LatencyProfile, slo: SLOSpec,
+                    max_tp: int) -> tuple[int, bool]:
+    """TP degree maximizing per-GPU capacity among SLO-feasible choices of
+    at most ``max_tp`` (the GPUs of one server, which holds an instance).
 
     Returns (tp, feasible); when nothing meets the latency share, the
     largest supported TP is returned with feasible=False.
@@ -353,6 +355,7 @@ def select_sharding(kind: str, model: ModelSpec, profile: LatencyProfile, slo: S
     else:
         stage = StageKind.PREFILL
         candidates = [1, 2, 4, 8]
+    candidates = [tp for tp in candidates if tp <= max_tp]
     share = profile.stage_slo_share_ms(stage, slo)
     best_tp = None
     best_score = -1.0

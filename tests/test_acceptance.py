@@ -465,9 +465,9 @@ def test_criterion_9_property_suites():
     causal = True
     for rec in log.completed_records():
         seqs = [rec.arrival_ms]
-        if rec.multimodal:
-            for st in rec.shards.values():
-                causal &= st["prep_start"] <= st["prep_end"] <= st["encode_start"] <= st["encode_end"]
+        if rec.multimodal:  # first start and last end across the request's shards
+            causal &= (rec.prep_start_ms <= rec.prep_end_ms <= rec.encode_end_ms
+                       and rec.prep_start_ms <= rec.encode_start_ms <= rec.encode_end_ms)
         seqs += [rec.prefill_start_ms, rec.prefill_end_ms, rec.completion_ms]
         causal &= all(a <= b + 1e-9 for a, b in zip(seqs, seqs[1:]))
     checks["causality"] = causal

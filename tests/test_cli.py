@@ -1,7 +1,9 @@
 import contextlib
 import functools
 import json
+import multiprocessing
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -192,6 +194,24 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["aggregate"]["completed_total"] > 0
 
+    def test_auto_instances_fit_the_servers(self):
+        # On 8-GPU servers auto sizing gives this model TP-8 text instances.
+        raw = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+        raw.update(model="llama3.2-90b", instances="auto", horizon_ms=20_000, seeds=[1],
+                   cluster={"servers": 8, "gpus_per_server": 2})
+        exp = validate_config(config_from_dict(raw))
+        assert max(plan.tp for plan in exp.instances(1)) <= 2
+        assert build_simulation(exp, 1).run().completed > 0
+
+    def test_auto_instances_without_a_fitting_encoder_tp_exit_2(self, tmp_path, capsys):
+        spec = {**_preset("internvl-26b"), "supported_tp_encoder": [2, 4, 8]}
+        (tmp_path / "models.json").write_text(json.dumps([spec]))
+        cfg = write_config(tmp_path, {"model": {"spec_path": "models.json", "name": "internvl-26b"},
+                                      "instances": "auto",
+                                      "cluster": {"servers": 8, "gpus_per_server": 1}})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "'instances'" in capsys.readouterr().err
+
     def test_pool_mismatch_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"instances": {"monolith": {"count": 2, "tp": 4}}})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -311,10 +331,10 @@ class TestCapacity:
                "policies": {"router": router, "scheduler": scheduler}, "max_batch": max_batch,
                "slo": {"slo_factor": slo_factor}}
         exp = validate_config(config_from_dict(raw))
-        early = _capacity_probe_worker(exp, seed, rate_multiplier, 20_000)
+        early = _capacity_probe_worker(exp, seed, rate_multiplier, 20_000, 1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Simulation, "stop_when_missed", lambda *_: None)
-            full = _capacity_probe_worker(exp, seed, rate_multiplier, 20_000)
+            full = _capacity_probe_worker(exp, seed, rate_multiplier, 20_000, 1)
         assert "stopped_ms" not in full
         assert early["ok"] == full["ok"]
 
@@ -350,11 +370,12 @@ class TestCapacity:
         run, stop = Simulation.run, Simulation.stop_when_missed
         monkeypatch.setattr(Simulation, "run", lambda sim: runs.append((sim, run(sim))) or runs[-1][1])
         monkeypatch.setattr(Simulation, "stop_when_missed",
-                            lambda sim, b, after: budgets.append((b, after)) or stop(sim, b, after))
+                            lambda sim, b, after, decided: budgets.append((b, after, decided))
+                            or stop(sim, b, after, decided))
         monkeypatch.setattr(experiment, "build_simulation",
                             functools.partial(experiment.build_simulation, validate=True))
         exp = validate_config(config_from_dict(BASE_CONFIG))
-        result = _capacity_probe_worker(exp, 1, 2.0, 60_000)
+        result = _capacity_probe_worker(exp, 1, 2.0, 60_000, 1)
         ((sim, log),) = runs
         assert not result["ok"] and result["stopped_ms"] == log.stopped_ms < 60_000
         assert log.completed >= 1
@@ -366,7 +387,7 @@ class TestCapacity:
         image = sum(r.is_multimodal for r in counted)
         assert budgets == [({"text-only": miss_budget(len(counted) - image, 0.99),
                              "image-text": miss_budget(image, 0.99),
-                             "tbt": miss_budget(len(counted), 0.99)}, 6_000)]
+                             "tbt": miss_budget(len(counted), 0.99)}, 6_000, None)]
         assert budgets[0][0]["text-only"] != budgets[0][0]["image-text"]
 
     def test_seed_scheduling_cannot_change_the_answer(self, monkeypatch):
@@ -380,6 +401,43 @@ class TestCapacity:
         in_process = run_capacity(config_from_dict(raw))
         assert pooled == in_process
         assert [ok for _, ok in pooled.probes].count(False) == 4
+
+    def test_decided_probe_abandons_at_the_first_completion(self, monkeypatch):
+        exp = validate_config(config_from_dict(BASE_CONFIG))
+        full = build_simulation(exp, 1, 1.0, 60_000).run()
+        first = min(r.completion_ms for r in full.completed_records())
+        # As a pool worker's initializer leaves it once probe 3 has failed.
+        monkeypatch.setattr(experiment, "_decided_probe", multiprocessing.Value("q", 3, lock=False))
+        assert _capacity_probe_worker(exp, 1, 1.0, 60_000, 3) == {
+            "seed": 1, "ok": False, "abandoned": True, "stopped_ms": first}
+        assert not _capacity_probe_worker(exp, 1, 1.0, 60_000, 4).get("abandoned")
+
+    def test_pooled_search_abandons_decided_seeds_under_spawn(self, monkeypatch):
+        # Every image request misses its SLO here, and each seed's miss
+        # budget is 0, so a probe fails at the first image request after the
+        # warm-up. At multipliers 0.4375-1.0 seed 27 meets one 25-58 % into
+        # its run; seed 13 meets none, so it would run to the horizon.
+        raw = {**BASE_CONFIG, "horizon_ms": 3_600_000,
+               "slo": {"slo_factor": 20.0, "ttft_base_image_ms": 0.001},
+               "workload": {"generator": {"base_rate": 2.0, "image_request_fraction": 0.0005,
+                                          "seed": 0}},
+               "capacity": {"lo_multiplier": 0.25, "hi_multiplier": 1.0, "rel_tol": 0.5,
+                            "seeds": [27, 13]}}
+        monkeypatch.setattr(experiment, "_POOL_WORKERS", 2)
+        # Spawned workers inherit nothing: the shared counter reaches them
+        # through the pool's initializer or not at all.
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        futures = []
+        submit = ProcessPoolExecutor.submit
+        monkeypatch.setattr(ProcessPoolExecutor, "submit",
+                            lambda pool, *args: futures.append(submit(pool, *args)) or futures[-1])
+        pooled = run_capacity(config_from_dict(raw))
+        monkeypatch.setattr(experiment, "_pool", lambda *_: contextlib.nullcontext())
+        assert pooled == run_capacity(config_from_dict(raw))
+        assert [ok for _, ok in pooled.probes] == [True, False, False, False]
+        abandoned = [f.result()["seed"] for f in futures if f.result().get("abandoned")]
+        assert abandoned and set(abandoned) == {13}
 
     def test_inverted_bracket_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

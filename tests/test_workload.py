@@ -60,6 +60,15 @@ class TestLoadTrace:
         assert result.malformed_rows == 2
         assert len(result.requests) == 200
 
+    def test_short_row_is_malformed(self, tmp_path):
+        # csv.DictReader fills the missing fields of a short row with None.
+        rows = [f"{i},chat,10,0,,1" for i in range(299)] + ["2.0,chat"]
+        result = load_trace(make_trace(tmp_path, rows), INTERNVL)
+        assert result.malformed_rows == 1
+        assert len(result.requests) == 299
+        with pytest.raises(TraceError):
+            load_trace(make_trace(tmp_path, ["0,chat,10,0,,1", "2.0,chat"]), INTERNVL)
+
     def test_too_many_malformed_is_hard_error(self, tmp_path):
         rows = ["0,chat,10,0,,1", "bad,chat,x,0,,1"]
         path = make_trace(tmp_path, rows)
