@@ -10,6 +10,7 @@ from pathlib import Path
 from .core import get_model_spec
 from .experiment import (
     ConfigError,
+    config_with,
     load_config,
     run_capacity,
     run_experiment,
@@ -30,20 +31,28 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _parse_seeds(text: str | None) -> list[int] | None:
-    """The ``--seeds`` list, checked as the config's ``seeds`` is; None when not given."""
-    if text is None:
-        return None
+def _json_list(text: str, flag: str) -> list:
+    """The values ``flag`` gives as comma-separated JSON, e.g. ``0.1,0.5`` or
+    ``{"count": 7, "tp": 4},{"count": 6, "tp": 4}``; there must be one at least."""
     try:
-        seeds = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise ConfigError("--seeds", f"must be comma-separated integers, got {text!r}")
-    return seed_list(seeds, "--seeds")
+        values = json.loads("[" + text + "]")
+    except json.JSONDecodeError as e:
+        raise ConfigError(flag, f"must be comma-separated JSON values ({e.msg}), got {text!r}")
+    if not values:
+        raise ConfigError(flag, "no values given")
+    return values
+
+
+def _parse_seeds(text: str) -> list[int]:
+    """The ``--seeds`` list, checked as the config's ``seeds`` is."""
+    return seed_list(_json_list(text, "--seeds"), "--seeds")
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    summary = run_experiment(cfg, out_dir=args.out, seeds=_parse_seeds(args.seeds))
+    if args.seeds is not None:
+        cfg = config_with(cfg, "seeds", _parse_seeds(args.seeds))
+    summary = run_experiment(cfg, out_dir=args.out)
     agg = summary["aggregate"]
     print(
         f"simulate: {agg['completed_total']} completed over {agg['n_seeds']} seed(s); "
@@ -56,32 +65,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_capacity(args) -> int:
     cfg = load_config(args.config)
-    result = run_capacity(cfg)
+    result = run_capacity(cfg, out_dir=args.out)
     for rate, ok in result.probes:
         print(f"probe {rate:8.3f} req/s -> {'pass' if ok else 'fail'}")
     if not result.feasible:
         print("warning: SLO infeasible even at the minimum probed rate; capacity 0")
     print(f"capacity: {result.rate:.3f} req/s")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "capacity.json").write_text(
-            json.dumps(
-                {"rate_req_per_s": result.rate, "feasible": result.feasible,
-                 "probes": result.probes},
-                indent=2,
-            )
-            + "\n"
-        )
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ConfigError("sweep.values", "no values given")
-    rows = run_sweep(cfg, args.axis, values, out_dir=args.out)
+    rows = run_sweep(cfg, args.axis, _json_list(args.values, "--values"), out_dir=args.out)
     for row in rows:
         print(
             f"{args.axis}={row['value']}: mean TTFT {row['mean_ttft_ms']:.1f} ms, "
@@ -138,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid over one config field")
     p.add_argument("--config", required=True)
-    p.add_argument("--axis", required=True)
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--axis", required=True, help="dotted config path, e.g. slo.slo_factor")
+    p.add_argument("--values", required=True, help="comma-separated JSON values")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 

@@ -197,6 +197,10 @@ def load_model_specs(path: str | Path | None = None) -> dict[str, ModelSpec]:
     specs = {}
     for i, entry in enumerate(raw):
         spec = ModelSpec(**read_fields(entry, _SPEC_FIELDS, _SPEC_REQUIRED, f"[{i}]."))
+        # A profile prices its reference request, encode included, at default_tp_text.
+        if spec.default_tp_text not in spec.supported_tp_encoder:
+            raise SpecError(f"[{i}].default_tp_text: {spec.default_tp_text} is not in "
+                            f"supported_tp_encoder {list(spec.supported_tp_encoder)}")
         specs[spec.name] = spec
     return specs
 

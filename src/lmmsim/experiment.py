@@ -9,6 +9,8 @@ sweeps execute in parallel processes; each simulation stays single-threaded.
 from __future__ import annotations
 
 import contextlib
+import copy
+import csv
 import json
 import multiprocessing
 import os
@@ -237,6 +239,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     return ExperimentConfig(raw=raw, base_dir=Path(base_dir))
+
+
+def config_with(cfg: ExperimentConfig, path: str, value) -> ExperimentConfig:
+    """A deep copy of ``cfg`` with the dotted ``path`` (e.g. ``slo.slo_factor``)
+    set to ``value``, creating missing objects along the way.
+
+    Only the objects on the path are checked here; ``validate_config`` checks
+    the key and the value as it checks every config.
+    """
+    raw = copy.deepcopy(cfg.raw)
+    *parents, key = path.split(".")
+    inner = raw
+    for i, part in enumerate(parents):
+        inner = inner.setdefault(part, {})
+        if not isinstance(inner, dict):
+            raise ConfigError(".".join(parents[:i + 1]),
+                              f"is {json.dumps(inner)}, not an object, so '{path}' cannot be set")
+    inner[key] = value
+    return ExperimentConfig(raw=raw, base_dir=cfg.base_dir)
 
 
 def validate_config(cfg: ExperimentConfig) -> Experiment:
@@ -498,6 +519,12 @@ def seed_summary(exp: Experiment, log: MetricsLog, cost: CostSummary) -> dict:
     }
 
 
+def _write_json(path: Path, data) -> None:
+    """Write one runner output as indented JSON with a final newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2, default=str) + "\n")
+
+
 def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
     log = build_simulation(exp, seed).run()
     cost = cost_summary(log)
@@ -522,11 +549,9 @@ def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
                 "p99_ttft_ms": w.p99_ttft_ms, "vacuous": w.vacuous,
             })
         (out / f"series_seed{seed}.csv").write_text("\n".join(rows) + "\n")
-        (out / f"windows_seed{seed}.json").write_text(
-            json.dumps({"seed": seed, "gpu_seconds": cost.gpu_seconds,
-                        "peak_gpus": cost.peak_gpus, "windows": window_dicts}, indent=2)
-            + "\n"
-        )
+        _write_json(out / f"windows_seed{seed}.json",
+                    {"seed": seed, "gpu_seconds": cost.gpu_seconds,
+                     "peak_gpus": cost.peak_gpus, "windows": window_dicts})
     return summary
 
 
@@ -563,23 +588,20 @@ def _map(fn, jobs: list[tuple], pool: ProcessPoolExecutor | None) -> list:
     return list(pool.map(fn, *zip(*jobs)))
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
-                   seeds: list[int] | None = None) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Run all seeds, write per-seed artifacts, and aggregate a summary."""
     exp = validate_config(cfg)
-    seeds = seeds if seeds is not None else exp.seeds
     out = str(out_dir) if out_dir is not None else None
-    with _pool(len(seeds)) as pool:
-        results = _map(_simulate_worker, [(exp, s, out) for s in seeds], pool)
+    with _pool(len(exp.seeds)) as pool:
+        results = _map(_simulate_worker, [(exp, s, out) for s in exp.seeds], pool)
     by_seed = {r["seed"]: r for r in results}
     agg = aggregate_summaries(list(by_seed.values()))
     summary = {"config": cfg.raw, "seeds": by_seed, "aggregate": agg}
     if out is not None:
         path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / "summary.json").write_text(json.dumps(summary, indent=2, default=str) + "\n")
+        _write_json(path / "summary.json", summary)
         combined = []
-        for s in seeds:
+        for s in exp.seeds:
             part = (path / f"series_seed{s}.csv").read_text().splitlines()
             combined.extend(part[1:] if combined else part)
         (path / "series.csv").write_text("\n".join(combined) + "\n")
@@ -647,8 +669,9 @@ def _capacity_probe_worker(exp: Experiment, seed: int, rate: float, horizon_ms: 
     return {"seed": seed, "ok": ok, "checks": checks}
 
 
-def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
-    """Largest request rate (req/s) meeting tail SLOs, via bisection.
+def run_capacity(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> CapacityResult:
+    """Largest request rate (req/s) meeting tail SLOs, via bisection; with
+    ``out_dir``, also written to ``capacity.json`` there.
 
     Each probe simulates each capacity seed at most once; runs are
     deterministic, so a repeated seed would add nothing. A probe passes when
@@ -681,11 +704,16 @@ def run_capacity(cfg: ExperimentConfig) -> CapacityResult:
             return ok
 
         result = max_throughput(probe, lo, hi, rel_tol=rel_tol)
-    return CapacityResult(
+    capacity = CapacityResult(
         rate=result.rate * base_rate,
         feasible=result.feasible,
         probes=[(m * base_rate, ok) for m, ok in result.probes],
     )
+    if out_dir is not None:
+        _write_json(Path(out_dir) / "capacity.json", {"rate_req_per_s": capacity.rate,
+                                                      "feasible": capacity.feasible,
+                                                      "probes": capacity.probes})
+    return capacity
 
 
 def _offered_rate(exp: Experiment) -> float:
@@ -702,54 +730,25 @@ def _offered_rate(exp: Experiment) -> float:
 # ----------------------------------------------------------------------
 # Sweeps
 # ----------------------------------------------------------------------
-def _apply_axis(raw: dict, axis: str, value: str) -> dict:
-    import copy
-
-    out = copy.deepcopy(raw)
-    if axis == "image_request_fraction":
-        out.setdefault("workload", {}).setdefault("generator", {})["image_request_fraction"] = float(value)
-    elif axis == "slo_factor":
-        out.setdefault("slo", {})["slo_factor"] = float(value)
-    elif axis == "rate_multiplier":
-        out["rate_multiplier"] = float(value)
-    elif axis == "instance_ratio":
-        try:
-            text_n, image_n = (int(x) for x in value.split(":"))
-        except ValueError:
-            raise ConfigError("sweep.values", f"instance_ratio value {value!r} is not 'T:I'")
-        inst = out.get("instances")
-        if not isinstance(inst, dict) or "text" not in inst or "image" not in inst:
-            raise ConfigError("instances", "instance_ratio sweep needs explicit text/image pools")
-        inst["text"]["count"] = text_n
-        inst["image"]["count"] = image_n
-    else:
-        raise ConfigError("sweep.axis", f"unknown axis {axis!r}")
-    return out
-
-
-SWEEP_AXES = ("image_request_fraction", "slo_factor", "rate_multiplier", "instance_ratio")
-
-
-def run_sweep(cfg: ExperimentConfig, axis: str, values: list[str],
+def run_sweep(cfg: ExperimentConfig, path: str, values: list,
               out_dir: str | Path | None = None) -> list[dict]:
-    """One experiment per axis value; rows are independent of execution order."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError("sweep.axis", f"unknown axis {axis!r} (known: {SWEEP_AXES})")
-    exps = [validate_config(config_from_dict(_apply_axis(cfg.raw, axis, v), cfg.base_dir))
-            for v in values]
+    """One experiment per value of the config field at the dotted ``path``
+    (see ``config_with``); rows are independent of execution order, and each
+    row's ``value`` is the JSON text of its value."""
+    exps = [validate_config(config_with(cfg, path, v)) for v in values]
     jobs = [(exp, s, None) for exp in exps for s in exp.seeds]
     with _pool(len(jobs)) as pool:
         results = iter(_map(_simulate_worker, jobs, pool))
     rows = []
     for value, exp in zip(values, exps):
         by_seed = {r["seed"]: r for r in islice(results, len(exp.seeds))}
-        rows.append({"axis": axis, "value": value, **aggregate_summaries(list(by_seed.values()))})
+        rows.append({"axis": path, "value": json.dumps(value),
+                     **aggregate_summaries(list(by_seed.values()))})
     if out_dir is not None:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        header = list(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(row[k]) for k in header))
-        (path / "sweep.csv").write_text("\n".join(lines) + "\n")
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with (out / "sweep.csv").open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
     return rows

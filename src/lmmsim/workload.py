@@ -66,8 +66,8 @@ def load_trace(path: str | Path, model: ModelSpec) -> TraceLoadResult:
         for row in reader:
             total += 1
             try:
-                if None in row.values():  # DictReader's fill for a row short of the header
-                    raise ValueError("fewer fields than the header")
+                if None in row.values() or None in row:  # DictReader's marks of a short or long row
+                    raise ValueError("field count differs from the header")
                 dims = _parse_dims(row["image_dims"])
                 if int(row["num_images"]) != len(dims):
                     raise ValueError("num_images does not match image_dims")

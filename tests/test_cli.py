@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import functools
 import json
 import multiprocessing
 import re
+import shlex
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -11,13 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmmsim import experiment
-from lmmsim.cli import main
+from lmmsim.cli import _json_list, build_parser, main
 from lmmsim.core import get_model_spec
 from lmmsim.engine import Simulation
 from lmmsim.experiment import (
     _capacity_probe_worker,
     build_simulation,
     config_from_dict,
+    config_with,
+    load_config,
     run_capacity,
     validate_config,
 )
@@ -74,6 +78,8 @@ class TestSimulate:
                      "--seeds", "7"]) == 0
         assert (out / "requests_seed7.csv").exists()
         assert not (out / "requests_seed1.csv").exists()
+        # The echoed config reproduces the run.
+        assert json.loads((out / "summary.json").read_text())["config"]["seeds"] == [7]
 
     def test_missing_trace_exits_2_naming_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"workload": {"trace": "missing.csv"}})
@@ -461,29 +467,76 @@ class TestCapacity:
 
 class TestSweep:
     def test_ratio_sweep_rows(self, tmp_path):
+        # A pool split is one `instances` object per value; the commas inside
+        # it are quoted in sweep.csv, which reads back with one row per value.
         cfg = write_config(tmp_path, {
             "seeds": [1],
             "horizon_ms": 30_000,
             "cluster": {"servers": 2, "gpus_per_server": 8, "cpu_cores_per_server": 16},
         })
+        splits = [{"text": {"count": t, "tp": 4}, "image": {"count": i, "tp": 1}}
+                  for t, i in ((1, 4), (2, 8), (1, 8), (2, 4), (3, 4))]
         out = tmp_path / "out"
-        code = main(["sweep", "--config", str(cfg), "--axis", "instance_ratio",
-                     "--values", "1:4,2:8,1:8,2:4,3:4", "--out", str(out)])
+        code = main(["sweep", "--config", str(cfg), "--axis", "instances",
+                     "--values", ",".join(json.dumps(v) for v in splits), "--out", str(out)])
         assert code == 0
-        lines = (out / "sweep.csv").read_text().strip().splitlines()
-        assert len(lines) == 6  # header + 5 values
+        with (out / "sweep.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [json.loads(row[header.index("value")]) for row in rows] == splits
+        assert {row[header.index("axis")] for row in rows} == {"instances"}
 
     def test_unknown_axis_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--axis", "gpu_color",
                      "--values", "1,2"]) == 2
-        assert "axis" in capsys.readouterr().err
+        assert "'gpu_color'" in capsys.readouterr().err
 
     def test_fraction_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {"seeds": [1], "horizon_ms": 30_000})
-        code = main(["sweep", "--config", str(cfg), "--axis", "image_request_fraction",
-                     "--values", "0.1,0.5"])
+        code = main(["sweep", "--config", str(cfg), "--axis",
+                     "workload.generator.image_request_fraction", "--values", "0.1,0.5"])
         assert code == 0
+
+    @pytest.mark.parametrize("overrides, axis, field", [
+        ({"instances": "auto"}, "instances.text.count", "instances"),
+        ({"workload": {"generator": {"base_rate": 2.0, "burst_episodes": [
+            {"start_ms": 0, "duration_ms": 1000}]}}},
+         "workload.generator.burst_episodes.0.start_ms", "workload.generator.burst_episodes"),
+        ({}, "slo.slo_fator", "slo.slo_fator"),
+    ])
+    def test_bad_path_exits_2_naming_field(self, tmp_path, capsys, overrides, axis, field):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["sweep", "--config", str(cfg), "--axis", axis, "--values", "1"]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["x", "0.1,", "", "{'a': 1}"])
+    def test_values_not_json_exits_2(self, tmp_path, capsys, values):
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--axis", "slo.slo_factor",
+                     "--values", values]) == 2
+        assert "--values" in capsys.readouterr().err
+
+
+def test_config_with_creates_a_missing_section():
+    cfg = config_from_dict(json.loads(json.dumps(BASE_CONFIG)))
+    changed = config_with(cfg, "capacity.rel_tol", 0.1)
+    assert changed.raw["capacity"] == {"rel_tol": 0.1}
+    assert "capacity" not in cfg.raw
+    assert validate_config(changed).capacity[2] == 0.1
+
+
+def test_readme_sweeps_are_valid():
+    # Each `lmmsim sweep` command in README.md parses, and its axis and first
+    # value give a valid config, so the documented sweeps cannot go stale.
+    root = Path(__file__).parent.parent
+    lines = (root / "README.md").read_text().replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("lmmsim sweep")]
+    assert commands
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        first = _json_list(args.values, "--values")[0]
+        validate_config(config_with(load_config(root / args.config), args.axis, first))
 
 
 class TestCalibrate:
@@ -571,6 +624,8 @@ class TestInputFiles:
         ("thumbnail_tile", "no", "thumbnail_tile"),
         ("supported_tp_encoder", [1, 2.5], "supported_tp_encoder"),
         ("architecture", "moe", "architecture"),
+        # The profile prices the reference request's encode at default_tp_text (8).
+        ("supported_tp_encoder", [2, 4], "default_tp_text"),
     ])
     def test_spec_file(self, tmp_path, capsys, path, value, key):
         (tmp_path / "models.json").write_text(json.dumps([_changed(_preset("internvl-26b"), path, value)]))

@@ -52,13 +52,14 @@ class TestLoadTrace:
         assert [r.id for r in result.requests] == [0, 1, 2]
 
     def test_malformed_rows_counted(self, tmp_path):
-        rows = [f"{i},chat,10,0,,1" for i in range(200)]
+        rows = [f"{i},chat,10,0,,1" for i in range(300)]
         rows.append("bad,chat,x,0,,1")
         rows.append("5,vision,10,1,0x480,1")  # zero-pixel image
+        rows.append("0,chat,10,0,,1,extra")  # more fields than the header
         path = make_trace(tmp_path, rows)
         result = load_trace(path, INTERNVL)
-        assert result.malformed_rows == 2
-        assert len(result.requests) == 200
+        assert result.malformed_rows == 3
+        assert len(result.requests) == 300
 
     def test_short_row_is_malformed(self, tmp_path):
         # csv.DictReader fills the missing fields of a short row with None.
