@@ -38,8 +38,6 @@ class ModelSpec:
     # Some encoders append one global thumbnail tile when an image spans
     # multiple grid tiles.
     thumbnail_tile: bool = False
-    encoder_params_b: float = 0.0
-    llm_params_b: float = 0.0
     default_tp_text: int = 4
     supported_tp_encoder: tuple[int, ...] = (1, 2, 4, 8)
 
@@ -109,8 +107,10 @@ class Request:
             raise SpecError(f"request {self.id}: text_tokens must be >= 0")
         if self.output_tokens < 1:
             raise SpecError(f"request {self.id}: output_tokens must be >= 1")
-        self.total_image_tokens = sum(img.image_tokens for img in self.images)
         self.is_multimodal = len(self.images) > 0
+        if not (self.text_tokens or self.is_multimodal):
+            raise SpecError(f"request {self.id}: an empty prompt (no text tokens, no images)")
+        self.total_image_tokens = sum(img.image_tokens for img in self.images)
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,7 @@ def exact(kind: type):
 _SPEC_FIELDS = {
     "name": exact(str), "architecture": Architecture, "tile_edge_px": exact(int),
     "tokens_per_tile": exact(int), "max_tiles_per_image": exact(int), "thumbnail_tile": exact(bool),
-    "encoder_params_b": float, "llm_params_b": float, "default_tp_text": exact(int),
-    "supported_tp_encoder": lambda v: tuple(map(exact(int), v)),
+    "default_tp_text": exact(int), "supported_tp_encoder": lambda v: tuple(map(exact(int), v)),
 }
 _SPEC_REQUIRED = {"name", "architecture", "tile_edge_px", "tokens_per_tile", "max_tiles_per_image"}
 

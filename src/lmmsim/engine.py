@@ -12,12 +12,12 @@ is bit-reproducible for a fixed (workload, config, seed).
 
 from __future__ import annotations
 
-import functools
+import gc
 import heapq
 import math
 import operator
 from bisect import bisect_left, insort
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Callable
 # Bound here, so bench/tracing.py's stand-in ``heapq`` sees only event-heap calls.
 from heapq import heappop as _heappop, heappush as _heappush
@@ -117,6 +117,12 @@ class InstanceState(str, Enum):
     STOPPED = "stopped"
 
 
+# The members the event path tests, bound once: under CPython 3.11, reading
+# a member off its Enum class costs several times reading a global.
+_PREPROCESS, _ENCODE, _PREFILL = StageKind.PREPROCESS, StageKind.ENCODE, StageKind.PREFILL
+_ACTIVE, _DRAINING = InstanceState.ACTIVE, InstanceState.DRAINING
+
+
 # Tolerance in decode steps: a member this close to its finish has finished.
 _EPS = 1e-6
 
@@ -132,35 +138,44 @@ class DecodeLane:
     ``touched[step_ms]`` is the ``tick`` of that entry's last advance, in
     last-advanced order, so a completion reads only the entries advanced
     since its request joined; every other entry gained it exactly 0.
+
+    ``steps_ms[n]`` is the step time at batch size ``n`` and TP ``tp``, or
+    None until a lane of that TP first runs ``n`` members; the lanes of one
+    TP share the list and fill it from ``tbt_latency(n, tp)``.
     """
 
     __slots__ = ("members", "heap", "served", "touched", "tick", "progress", "frac", "step_ms",
-                 "anchor_ms", "epoch", "admit_queue", "cap", "_step_latency")
+                 "anchor_ms", "epoch", "admit_queue", "cap", "tp", "_steps_ms", "_tbt_latency")
 
-    def __init__(self, cap: int, step_latency):
+    def __init__(self, cap: int, tp: int, steps_ms: list[float | None],
+                 tbt_latency: Callable[[int, int], float]):
         # rid -> (served at join, tick at join, its TBT samples)
         self.members: dict[int, tuple[dict, int, list]] = {}
         self.heap: list[tuple[float, float, int]] = []  # (whole, fraction of finish, rid)
-        self.served: defaultdict[float, float] = defaultdict(float)
+        self.served: dict[float, float] = {}  # a plain dict: it copies faster than a defaultdict
         self.touched: dict[float, int] = {}
         self.progress = self.frac = self.step_ms = self.anchor_ms = 0.0
         self.epoch = self.tick = 0
         self.admit_queue: deque[tuple[int, float, int]] = deque()  # (rid, queued_ms, steps)
         self.cap = cap
-        self._step_latency = step_latency  # batch size -> ms per step
+        self.tp = tp
+        self._steps_ms = steps_ms
+        self._tbt_latency = tbt_latency
 
     def load(self) -> int:
         return len(self.members) + len(self.admit_queue)
 
     def advance(self, now: float) -> None:
         if self.members and now > self.anchor_ms:
-            steps = (now - self.anchor_ms) / self.step_ms
+            step = self.step_ms
+            steps = (now - self.anchor_ms) / step
             whole, self.frac = divmod(self.frac + steps, 1.0)
             self.progress += whole
-            self.served[self.step_ms] += steps
-            self.tick += 1
-            self.touched.pop(self.step_ms, None)
-            self.touched[self.step_ms] = self.tick
+            served, touched = self.served, self.touched
+            served[step] = served.get(step, 0.0) + steps
+            self.tick = tick = self.tick + 1
+            touched.pop(step, None)
+            touched[step] = tick
         self.anchor_ms = now
 
     def _join(self, rid: int, steps: int, wait: float) -> None:
@@ -202,10 +217,14 @@ class DecodeLane:
     def restart(self) -> float | None:
         """Start a step period from the last advance: the time to the next completion, None if empty."""
         self.epoch += 1
-        if not self.members:
+        n = len(self.members)
+        if not n:
             return None
-        self.step_ms = self._step_latency(len(self.members))
-        return max(self.remaining(self.heap[0]) * self.step_ms, 0.0)
+        step = self._steps_ms[n]
+        if step is None:
+            step = self._steps_ms[n] = self._tbt_latency(n, self.tp)
+        self.step_ms = step
+        return max(self.remaining(self.heap[0]) * step, 0.0)
 
 
 class Lane:
@@ -329,6 +348,8 @@ class RequestRecord:
     image_tokens: int
     output_tokens: int
     n_images: int
+    ttft_slo_ms: float = 0.0
+    tbt_slo_ms: float = 0.0
     prep_start_ms: float | None = None
     prep_end_ms: float | None = None
     encode_start_ms: float | None = None
@@ -339,8 +360,6 @@ class RequestRecord:
     completion_ms: float | None = None
     ttft_ms: float | None = None
     tbt_p99_ms: float | None = None
-    ttft_slo_ms: float = 0.0
-    tbt_slo_ms: float = 0.0
     slo_ok: bool | None = None
 
     @property
@@ -505,7 +524,8 @@ class Simulation:
         self.log = MetricsLog(horizon_ms, seed)
         self._miss_budget: dict[str, int] | None = None  # see stop_when_missed
         self._pool_tp = {entry.pool: entry.tp for entry in instance_plan}
-        self._step_latency = functools.cache(profile.tbt_latency)  # (batch, tp) -> decode step ms
+        # Decode step times by batch size, one list per TP (see DecodeLane).
+        self._steps_ms = {entry.tp: [None] * (self.max_batch["decode"] + 1) for entry in instance_plan}
         # One load index per routed pool, keyed by the load its router uses.
         routed = {self.roles.text: pol.load_key("text", model.architecture)}
         if not self.roles.colocated_encoder:
@@ -540,7 +560,7 @@ class Simulation:
     def _spawn(self, pool: str, tp: int, server_id: int, starting: bool) -> Instance:
         server = self.servers[server_id]
         cores = max(1, server.cpu_cores * tp // server.gpus)
-        lane = DecodeLane(self.max_batch["decode"], functools.partial(self._step_latency, tp=tp))
+        lane = DecodeLane(self.max_batch["decode"], tp, self._steps_ms[tp], self.profile.tbt_latency)
         inst = Instance(self._next_instance_id, pool, tp, server_id, cores, lane,
                         self.load_index.get(pool))
         self._next_instance_id += 1
@@ -592,12 +612,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # Pools and routing
     # ------------------------------------------------------------------
-    def _reindex(self, inst: Instance) -> None:
-        """Re-sort an instance in its pool's load index after its load changed."""
-        index = inst.index
-        if index is not None and inst.state is InstanceState.ACTIVE:
-            index.update(inst)
-
     # Instance ids only increase, so self.instances is in id order and so
     # is this list.
     def _live(self, pool: str) -> list[Instance]:
@@ -635,35 +649,48 @@ class Simulation:
         self._stop_ms = -math.inf  # the loop's next pop ends the run
 
     def run(self) -> MetricsLog:
-        self._push_arrival(0)
-        if self.autoscaler is not None:
-            self._push(self.scale_interval_ms, EV_SCALE_TICK)
+        """Run the event loop to the horizon (or to a stop) and return the log.
 
-        handlers = {
-            EV_INSTANCE_STARTED: self._on_instance_started,
-            EV_CPU_FREE: self._on_lane_free,
-            EV_GPU_FREE: self._on_lane_free,
-            EV_DECODE_DONE: self._on_decode_done,
-            EV_TRANSFER_DONE: self._on_transfer_done,
-            EV_DECODE_ARRIVAL: self._on_decode_arrival,
-            EV_ARRIVAL: self._on_arrival,
-            EV_SCALE_TICK: self._on_scale_tick,
-        }
-        self._stop_ms = self.horizon_ms
-        reached_stop = False
-        heap, validate = self.heap, self.validate
-        while heap:
-            time_ms, kind, _seq, data = heapq.heappop(heap)
-            if time_ms > self._stop_ms:
-                reached_stop = True
-                break
-            self.now = time_ms
-            handlers[kind](data)
-            if validate:
-                self._check_invariants()
+        The cyclic garbage collector is paused while the loop runs and left
+        as the caller had it: the loop creates no reference cycles, so
+        reference counting frees all it discards and a collection would
+        only scan the live records and events.
+        """
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._push_arrival(0)
+            if self.autoscaler is not None:
+                self._push(self.scale_interval_ms, EV_SCALE_TICK)
 
-        if not reached_stop and self.log.in_flight and self.log.stopped_ms is None:
-            raise SimulationError(self._deadlock_dump())
+            handlers = {
+                EV_INSTANCE_STARTED: self._on_instance_started,
+                EV_CPU_FREE: self._on_lane_free,
+                EV_GPU_FREE: self._on_lane_free,
+                EV_DECODE_DONE: self._on_decode_done,
+                EV_TRANSFER_DONE: self._on_transfer_done,
+                EV_DECODE_ARRIVAL: self._on_decode_arrival,
+                EV_ARRIVAL: self._on_arrival,
+                EV_SCALE_TICK: self._on_scale_tick,
+            }
+            self._stop_ms = self.horizon_ms
+            reached_stop = False
+            heap, validate = self.heap, self.validate
+            while heap:
+                time_ms, kind, _seq, data = heapq.heappop(heap)
+                if time_ms > self._stop_ms:
+                    reached_stop = True
+                    break
+                self.now = time_ms
+                handlers[kind](data)
+                if validate:
+                    self._check_invariants()
+
+            if not reached_stop and self.log.in_flight and self.log.stopped_ms is None:
+                raise SimulationError(self._deadlock_dump())
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         self.now = self.horizon_ms
         self._allocation_changed()
         return self.log
@@ -690,18 +717,9 @@ class Simulation:
         self._push_arrival(idx + 1)
         req = self.workload[idx]
         multimodal = req.is_multimodal
-        rec = RequestRecord(
-            request_id=req.id,
-            service_id=req.service_id,
-            multimodal=multimodal,
-            arrival_ms=req.arrival_ms,
-            text_tokens=req.text_tokens,
-            image_tokens=req.total_image_tokens,
-            output_tokens=req.output_tokens,
-            n_images=len(req.images),
-            ttft_slo_ms=self._ttft_slo_ms[multimodal],
-            tbt_slo_ms=self._tbt_slo_ms,
-        )
+        rec = RequestRecord(req.id, req.service_id, multimodal, req.arrival_ms, req.text_tokens,
+                            req.total_image_tokens, req.output_tokens, len(req.images),
+                            self._ttft_slo_ms[multimodal], self._tbt_slo_ms)
         self.log.records[req.id] = rec
         self.log.arrived += 1
         self._win_text_tokens += req.text_tokens
@@ -757,46 +775,48 @@ class Simulation:
         inst.reserved[rid] = (text, image)
         inst.pending_text_tokens += text
         inst.pending_image_tokens += image
-        self._reindex(inst)
+        if inst.index is not None and inst.state is _ACTIVE:
+            inst.index.update(inst)  # its load changed
 
     def _release(self, inst: Instance, rid: int) -> None:
         text, image = inst.reserved.pop(rid)
         inst.pending_text_tokens -= text
         inst.pending_image_tokens -= image
-        self._reindex(inst)
+        if inst.index is not None and inst.state is _ACTIVE:
+            inst.index.update(inst)  # its load changed
 
     # ------------------------------------------------------------------
     # Batch lanes: CPU (preprocess) and GPU (encode + prefill)
     # ------------------------------------------------------------------
     def _new_item(self, req: Request, rec: RequestRecord, stage: StageKind, tiles: int) -> WorkItem:
         self._next_item_seq += 1
-        size = (req.text_tokens + req.total_image_tokens if stage is StageKind.PREFILL
+        size = (req.text_tokens + req.total_image_tokens if stage is _PREFILL
                 else tiles * self.model.tokens_per_tile)
-        return WorkItem(self._next_item_seq, stage, size, tiles, self.now,
-                        self._ttft_slo_ms[req.is_multimodal], req, rec)
+        return WorkItem(self._next_item_seq, stage, size, tiles, self.now, rec.ttft_slo_ms, req, rec)
 
     def _enqueue_shard(self, inst: Instance, req: Request, rec: RequestRecord,
                        image_idx: list[int], reserve: bool) -> None:
-        tiles = sum(req.images[k].tiles for k in image_idx)
+        images = req.images
+        tiles = sum([images[k].tiles for k in image_idx])
         if reserve:
             self._reserve(inst, req.id, 0, tiles * self.model.tokens_per_tile)
-        inst.cpu.queue.append(self._new_item(req, rec, StageKind.PREPROCESS, tiles))
+        inst.cpu.queue.append(self._new_item(req, rec, _PREPROCESS, tiles))
         self._dispatch(inst, inst.cpu)
 
     def _enqueue_prefill(self, inst: Instance, req: Request, rec: RequestRecord) -> None:
-        inst.gpu.queue.append(self._new_item(req, rec, StageKind.PREFILL, 0))
+        inst.gpu.queue.append(self._new_item(req, rec, _PREFILL, 0))
         self._dispatch(inst, inst.gpu)
 
     def _service_ms(self, inst: Instance, batch: list[WorkItem]) -> float:
         stage, p = batch[0].stage, self.profile
-        if stage is StageKind.PREFILL:
+        if stage is _PREFILL:
             if len(batch) == 1:
                 req = batch[0].req
                 return p.prefill_latency(req.text_tokens, req.total_image_tokens, inst.tp)
             return sum(p.prefill_latency(it.req.text_tokens, it.req.total_image_tokens, inst.tp)
                        for it in batch)
-        tiles = sum(it.tiles for it in batch)
-        if stage is StageKind.ENCODE:
+        tiles = batch[0].tiles if len(batch) == 1 else sum([it.tiles for it in batch])
+        if stage is _ENCODE:
             return p.encode_latency(tiles, inst.tp)
         return p.preprocess_latency(tiles, inst.cpu_cores)
 
@@ -804,18 +824,17 @@ class Simulation:
         """Start the lane's next batch if it is free and has work queued."""
         if lane.busy or not lane.queue:
             return
-        now = self.now
-        batch = form_batch(lane.queue, now, self.policies.scheduler,
-                           self.policies.aging_slo_fraction, self.max_batch)
+        now, policies = self.now, self.policies
+        batch = form_batch(lane.queue, now, policies.scheduler, policies.aging_slo_fraction,
+                           self.max_batch)
         stage = batch[0].stage
         start = _STAMPS[stage][0]
+        wait = self._win_wait.get(stage)
         for it in batch:
             rec = it.rec
             if getattr(rec, start) is None:
                 setattr(rec, start, now)
-        wait = self._win_wait.get(stage)
-        if wait is not None:
-            for it in batch:
+            if wait is not None:
                 wait[0] += now - it.enqueue_ms
                 wait[1] += 1
         lane.busy = True
@@ -830,9 +849,9 @@ class Simulation:
         for it in batch:
             req, rec = it.req, it.rec
             setattr(rec, end, now)
-            if stage is StageKind.PREPROCESS:
-                inst.gpu.queue.append(self._new_item(req, rec, StageKind.ENCODE, it.tiles))
-            elif stage is StageKind.ENCODE:
+            if stage is _PREPROCESS:
+                inst.gpu.queue.append(self._new_item(req, rec, _ENCODE, it.tiles))
+            elif stage is _ENCODE:
                 self._encode_item_done(inst, req, rec)
             else:
                 self._prefill_done(inst, req, rec)
@@ -841,7 +860,7 @@ class Simulation:
             self._dispatch(inst, inst.gpu)
         if lane.queue:
             self._dispatch(inst, lane)
-        if inst.state is InstanceState.DRAINING:
+        if inst.state is _DRAINING:
             self._maybe_stop_drained(inst)
 
     def _encode_item_done(self, inst: Instance, req: Request, rec: RequestRecord) -> None:
@@ -890,7 +909,7 @@ class Simulation:
         for rid, tbt in inst.decode.pop_finished(self.now):
             self._complete(records[rid], tbt)
         self._decode_changed(inst, restart=True)
-        if inst.state is InstanceState.DRAINING:
+        if inst.state is _DRAINING:
             self._maybe_stop_drained(inst)
 
     def _decode_changed(self, inst: Instance, restart: bool) -> None:
@@ -898,8 +917,8 @@ class Simulation:
         next_dt = inst.decode.restart() if restart else None
         if next_dt is not None:
             self._push(self.now + next_dt, EV_DECODE_DONE, (inst.id, inst.decode.epoch))
-        if inst.pool == self.roles.decode:
-            self._reindex(inst)
+        if inst.pool == self.roles.decode and inst.state is _ACTIVE:
+            inst.index.update(inst)
 
     def _complete(self, rec: RequestRecord, tbt: list[tuple[float, float]] = ()) -> None:
         rec.completion_ms = self.now

@@ -50,7 +50,7 @@ from .policies import (
     select_sharding,
 )
 from .profiles import LatencyProfile, calibrate, load_calibration_targets
-from .workload import BurstEpisode, GeneratorConfig, generate, load_trace, summarize
+from .workload import BurstEpisode, GeneratorConfig, GeneratorError, generate, load_trace, summarize
 
 
 class ConfigError(ValueError):
@@ -421,6 +421,8 @@ def _generator(g, model: ModelSpec) -> GeneratorConfig:
     try:
         cfg = GeneratorConfig(model=model, burst_episodes=tuple(episodes), **kwargs)
         cfg.validate()
+    except GeneratorError as e:
+        raise ConfigError(f"workload.generator.{e.key}", e.rule)
     except (TypeError, ValueError) as e:
         raise ConfigError("workload.generator", str(e))
     return cfg

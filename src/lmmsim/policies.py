@@ -134,6 +134,10 @@ def split_by_tiles(tile_sizes: list[int], n_shards: int) -> list[list[int]]:
     """Greedy largest-first partition of image indices balanced by tile count."""
     n_shards = max(1, min(n_shards, len(tile_sizes)))
     order = sorted(range(len(tile_sizes)), key=lambda i: (-tile_sizes[i], i))
+    if n_shards == len(tile_sizes):
+        # Every image has at least one tile, so the greedy then gives each
+        # image, largest first, the next empty shard.
+        return [[idx] for idx in order]
     loads = [0] * n_shards
     shards: list[list[int]] = [[] for _ in range(n_shards)]
     for idx in order:

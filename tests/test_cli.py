@@ -173,6 +173,21 @@ class TestSimulate:
         ({"topology": "monolith", "instances": {"monolith": {"count": 1, "tp": 3}}},
          "instances.monolith.tp"),
         ({"model": {"spec_path": "models.json", "nme": "internvl-26b"}}, "model.nme"),
+        # Generator bounds that would draw an empty prompt, no output token
+        # or a zero-pixel image, or a min that its max would clamp away.
+        ({"workload": {"generator": {"text_len_min": 0}}}, "workload.generator.text_len_min"),
+        ({"workload": {"generator": {"text_len_max": 0}}}, "workload.generator.text_len_max"),
+        ({"workload": {"generator": {"text_len_min": -5}}}, "workload.generator.text_len_min"),
+        ({"workload": {"generator": {"text_len_min": 40000}}}, "workload.generator.text_len_min"),
+        ({"workload": {"generator": {"image_req_len_min": 0}}},
+         "workload.generator.image_req_len_min"),
+        ({"workload": {"generator": {"image_req_len_min": 40000}}},
+         "workload.generator.image_req_len_min"),
+        ({"workload": {"generator": {"image_dim_min_px": 0}}}, "workload.generator.image_dim_min_px"),
+        ({"workload": {"generator": {"image_dim_min_px": 5000}}},
+         "workload.generator.image_dim_min_px"),
+        ({"workload": {"generator": {"image_dim_max_px": 0}}}, "workload.generator.image_dim_max_px"),
+        ({"workload": {"generator": {"output_len_max": 0}}}, "workload.generator.output_len_max"),
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)
@@ -626,6 +641,9 @@ class TestInputFiles:
         ("architecture", "moe", "architecture"),
         # The profile prices the reference request's encode at default_tp_text (8).
         ("supported_tp_encoder", [2, 4], "default_tp_text"),
+        # Unknown keys, as in spec files that still carry parameter counts.
+        ("encoder_params_b", 0.63, "encoder_params_b"),
+        ("llm_params_b", 8.0, "llm_params_b"),
     ])
     def test_spec_file(self, tmp_path, capsys, path, value, key):
         (tmp_path / "models.json").write_text(json.dumps([_changed(_preset("internvl-26b"), path, value)]))

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import io
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MODELS, PROFILES, make_request, make_sim, make_slo
+from lmmsim import experiment
 from lmmsim.core import Architecture, StageKind
 from lmmsim.engine import (
     DecodeLane,
@@ -205,6 +208,26 @@ class TestEncodeShard:
         shards = split_by_tiles(_tiles(images), 2)
         loads = [sum(images[i].tiles for i in s) for s in shards]
         assert max(loads) - min(loads) <= 2
+
+    @staticmethod
+    def _greedy(tiles, n_shards):
+        """Reference: the largest-first greedy, onto the least-loaded (then lowest) shard."""
+        n_shards = max(1, min(n_shards, len(tiles)))
+        loads, shards = [0] * n_shards, [[] for _ in range(n_shards)]
+        for idx in sorted(range(len(tiles)), key=lambda i: (-tiles[i], i)):
+            best = min(range(n_shards), key=lambda s: (loads[s], s))
+            shards[best].append(idx)
+            loads[best] += tiles[idx]
+        return [sorted(s) for s in shards if s]
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=16))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_one_image_per_shard_in_size_order(self, tiles):
+        # As many shards as images: one image each, largest first, ties by index.
+        by_size = sorted(range(len(tiles)), key=lambda i: (-tiles[i], i))
+        assert split_by_tiles(tiles, len(tiles)) == [[i] for i in by_size]
+        for n in range(1, len(tiles) + 3):
+            assert split_by_tiles(tiles, n) == self._greedy(tiles, n)
 
     def test_sharded_makespan_quarter_of_unsharded(self):
         # 16 equal images over 4 idle instances vs 1: encode span shrinks 4x,
@@ -579,6 +602,44 @@ class TestDeadlock:
             sim.run()
 
 
+class TestCyclicGCPause:
+    """``Simulation.run`` pauses the cyclic collector; that is sound only if
+    the caller gets it back as it was and the loop makes no cycles."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_restores_the_callers_state(self, enabled):
+        done = make_sim([make_request(0, 0.0, n_images=1)])
+        # No image instance and no autoscaler: the image request deadlocks.
+        stuck = make_sim([make_request(0, 0.0, n_images=1)],
+                         plan=[InstancePlan("text", 4, 1), InstancePlan("image", 1, 0)])
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            done.run()
+            assert gc.isenabled() is enabled
+            with pytest.raises(SimulationError, match="deadlock"):
+                stuck.run()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_loop_makes_no_reference_cycles(self):
+        demo = Path(__file__).parent.parent / "configs" / "demo.json"
+        exp = experiment.validate_config(experiment.load_config(demo))
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            sim = experiment.build_simulation(exp, 1, horizon_ms=60_000.0, validate=True)
+            gc.collect()
+            log = sim.run()
+            assert log.completed > 100
+            assert gc.collect() == 0  # nothing the run dropped needs the collector
+            assert sim.log is log
+        finally:
+            if was:
+                gc.enable()
+
+
 class TestStopWhenDecided:
     def test_ends_at_the_completion_after_the_predicate_turns(self):
         reqs = [make_request(i, 150.0 * i, text=300, n_images=i % 2, out=1 + i % 7) for i in range(60)]
@@ -702,7 +763,7 @@ class TestDecodeLane:
     def test_walk_matches_full_walk(self, requests, cap):
         # Each completion's TBT pairs equal, exactly, those of a walk over
         # every served step time against the member's join snapshot.
-        lane = DecodeLane(cap, lambda n: LLAMA_PROFILE.tbt_latency(n, 4))
+        lane = DecodeLane(cap, 4, [None] * (cap + 1), LLAMA_PROFILE.tbt_latency)
         pending, t, due, completed = deque(), 0.0, None, 0
         for rid, (gap, steps) in enumerate(requests):
             t += gap
@@ -724,6 +785,26 @@ class TestDecodeLane:
             dt = lane.restart()
             due = None if dt is None else now + dt
         assert completed == len(requests) and not lane.members
+
+    def test_step_table_is_the_profile_per_tp(self):
+        # One table per TP, shared by the lanes of that TP and filled once per
+        # batch size from the profile, float for float.
+        reqs = [make_request(i, 5.0 * i, text=200, out=400) for i in range(40)]
+        sim = make_sim(reqs, plan=[InstancePlan("text", 4, 2), InstancePlan("image", 1, 4)],
+                       servers=[ServerSpec(0, 8, 16), ServerSpec(1, 8, 16)], max_batch={"decode": 16})
+        calls = []
+        tbt_latency = sim.profile.tbt_latency
+        for inst in sim.instances.values():
+            assert inst.decode._steps_ms is sim._steps_ms[inst.tp]
+            inst.decode._tbt_latency = lambda n, tp: calls.append((n, tp)) or tbt_latency(n, tp)
+        sim.run()
+        assert sorted(sim._steps_ms) == [1, 4]
+        for tp, table in sim._steps_ms.items():
+            assert len(table) == 16 + 1
+            filled = [n for n, step in enumerate(table) if step is not None]
+            assert all(table[n] == LLAMA_PROFILE.tbt_latency(n, tp) for n in filled)
+            assert sorted(n for n, t in calls if t == tp) == filled
+        assert sorted(n for n, t in calls if t == 4) == list(range(1, 17))
 
     def test_day_scale_times_complete_without_spinning(self):
         # Near 7e6 ms one ulp of time is about 1e-9 ms: without its tolerance a

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,13 @@ class TestLoadTrace:
         result = load_trace(path, INTERNVL)
         assert result.malformed_rows == 3
         assert len(result.requests) == 300
+
+    def test_empty_prompt_is_malformed(self, tmp_path):
+        # No text tokens and no images: nothing to prefill.
+        rows = [f"{i},chat,10,0,,1" for i in range(100)] + ["10.0,chat,0,0,,5"]
+        result = load_trace(make_trace(tmp_path, rows), INTERNVL)
+        assert result.malformed_rows == 1
+        assert len(result.requests) == 100
 
     def test_short_row_is_malformed(self, tmp_path):
         # csv.DictReader fills the missing fields of a short row with None.
@@ -154,6 +163,25 @@ class TestGenerator:
         reqs = generate(cfg, 500_000)
         alpha = fit_tail_exponent([r.text_tokens for r in reqs], tail_fraction=0.3)
         assert alpha == pytest.approx(2.9, abs=0.3)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_stream_at_a_rate_multiplier_is_a_compressed_copy_without_bursts(self, seed):
+        # The same draws in the same order: at m times the rate each request is
+        # the unit-rate one, arriving at (to rounding) its arrival over m.
+        # Burst episodes sit at fixed times and break this.
+        horizon = 600_000.0
+        cfg = GeneratorConfig(model=INTERNVL, base_rate=5.0, seed=seed, text_len_min=256,
+                              image_req_len_min=1024, image_dim_median_px=430, image_dim_sigma=0.45,
+                              images_per_request={1: 0.5, 2: 0.3, 3: 0.12, 4: 0.08},
+                              output_len_median=96)
+        unit = generate(cfg, horizon * 1.7)
+        for m in (0.5, 0.64, 0.78, 1.7):
+            scaled = generate(replace(cfg, base_rate=cfg.base_rate * m), horizon)
+            assert len(scaled) == sum(r.arrival_ms / m < horizon for r in unit) > 1000
+            for a, b in zip(scaled, unit):
+                assert (a.id, a.service_id, a.text_tokens, a.images, a.output_tokens) == \
+                    (b.id, b.service_id, b.text_tokens, b.images, b.output_tokens)
+                assert a.arrival_ms == pytest.approx(b.arrival_ms / m, rel=1e-14, abs=0)
 
     def test_burst_rate_multiplier(self):
         mult = 3.0
