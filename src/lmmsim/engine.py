@@ -12,6 +12,7 @@ is bit-reproducible for a fixed (workload, config, seed).
 
 from __future__ import annotations
 
+import functools
 import gc
 import heapq
 import math
@@ -100,7 +101,9 @@ def form_batch(queue: list[WorkItem], now: float, scheduler: SchedulerKind,
     if not order:
         return []
     stage = queue[order[0]].stage
-    cap = max_batch.get(stage.value, 1)
+    # A StageKind member hashes and compares as its value, so it finds its
+    # cap in ``max_batch``, keyed by stage name, without reading ``.value``.
+    cap = max_batch.get(stage, 1)
     picked = [i for i in order if queue[i].stage is stage][:cap]
     batch = [queue[i] for i in picked]
     queue[:] = [it for i, it in enumerate(queue) if i not in picked]
@@ -416,15 +419,56 @@ class MetricsLog:
         return max((g for _, g in self.allocation_log), default=0)
 
     def to_csv(self, path) -> None:
-        import csv
-
+        """One row per record, streamed to ``path``; ``_csv_row_format`` gives the cells."""
         row = operator.attrgetter(*CSV_FIELDS)
+        formats: dict[tuple[type, ...], tuple[str, tuple]] = {}
+        cell = functools.cache(_csv_text)
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_FIELDS)
+            write = fh.write
+            write(",".join(CSV_FIELDS) + "\r\n")
             for rec in self.records.values():
-                w.writerow(["" if x is None else f"{x:.4f}" if isinstance(x, float)
-                            else int(x) if isinstance(x, bool) else x for x in row(rec)])
+                values = row(rec)
+                kinds = tuple(map(type, values))
+                fmt = formats.get(kinds)
+                if fmt is None:
+                    fmt = formats[kinds] = _csv_row_format(kinds)
+                template, texts = fmt
+                if texts:
+                    values = list(values)
+                    for i, to_text in texts:
+                        values[i] = cell(to_text(values[i]))
+                    values = tuple(values)
+                write(template % values)
+
+
+def _csv_text(text: str) -> str:
+    """``text`` as a cell of the default ``csv`` dialect (QUOTE_MINIMAL):
+    quoted, its quotes doubled, if it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_row_format(kinds: tuple[type, ...]) -> tuple[str, tuple]:
+    """The ``%`` template of a CSV row whose values have these types, and the
+    ``(index, to_text)`` of each value that goes in as ``_csv_text`` of its text.
+
+    A cell is empty for None, four decimals for a float (or a subclass),
+    0/1 for a bool and decimal for an int; any other value is its text, a
+    string's own characters, quoted as ``csv.writer`` quotes it.
+    """
+    specs, texts = [], []
+    for i, kind in enumerate(kinds):
+        if kind is type(None):
+            specs.append("%.0s")  # str(None) cut to no characters
+        elif issubclass(kind, float):
+            specs.append("%.4f")
+        elif kind is bool or kind is int:
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            texts.append((i, str.__str__ if issubclass(kind, str) else str))
+    return ",".join(specs) + "\r\n", tuple(texts)
 
 
 _weight = operator.itemgetter(1)

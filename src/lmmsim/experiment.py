@@ -24,6 +24,7 @@ from .core import ModelSpec, Request, SLOSpec, get_model_spec, load_model_specs
 from .engine import (
     InstancePlan,
     MetricsLog,
+    RequestRecord,
     ServerSpec,
     Simulation,
     TransferMedium,
@@ -507,15 +508,16 @@ def build_simulation(exp: Experiment, seed: int, rate_multiplier: float | None =
     )
 
 
-def seed_summary(exp: Experiment, log: MetricsLog, cost: CostSummary) -> dict:
-    latency = summarize_latency(log, exp.warmup_fraction)
+def seed_summary(exp: Experiment, log: MetricsLog, cost: CostSummary, done: list[RequestRecord]) -> dict:
+    """The summary of one seed's run; ``done`` is ``log.completed_records()``."""
+    latency = summarize_latency(log, exp.warmup_fraction, done)
     return {
         "seed": log.seed,
         "arrived": log.arrived,
         "completed": log.completed,
         "in_flight": log.in_flight,
         "latency": latency.to_dict(),
-        "attainment": overall_attainment(log, exp.warmup_fraction),
+        "attainment": overall_attainment(log, exp.warmup_fraction, done),
         "gpu_seconds": cost.gpu_seconds,
         "peak_gpus": cost.peak_gpus,
     }
@@ -530,12 +532,14 @@ def _write_json(path: Path, data) -> None:
 def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
     log = build_simulation(exp, seed).run()
     cost = cost_summary(log)
-    summary = seed_summary(exp, log, cost)
+    done = log.completed_records()
+    summary = seed_summary(exp, log, cost, done)
     if out_dir is not None:
+        windows = slo_attainment(log, 60_000.0, done)
+        del done  # not held while the outputs are written
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         log.to_csv(out / f"requests_seed{seed}.csv")
-        windows = slo_attainment(log, window_ms=60_000.0)
         gpus_by_window = dict(cost.timeline)
         rows = ["seed,window_start_ms,gpus,completed,attainment,p99_ttft_ms,vacuous"]
         window_dicts = []

@@ -17,13 +17,16 @@ REL_TOL = 0.02
 MAX_DOUBLINGS = 8
 
 
+def _rank(q: float, n: int) -> int:
+    """The index of the nearest-rank (lower) ``q`` quantile among ``n`` sorted values."""
+    return max(0, math.ceil(q * n) - 1)
+
+
 def quantile(values, q: float) -> float:
     """Nearest-rank (lower) quantile; documented so results match across tools."""
     if not len(values):
         raise ValueError("quantile of empty data")
-    ordered = sorted(values)
-    idx = max(0, math.ceil(q * len(ordered)) - 1)
-    return ordered[idx]
+    return sorted(values)[_rank(q, len(values))]
 
 
 def miss_budget(n: int, q: float) -> int:
@@ -49,12 +52,14 @@ class MetricStats:
         values = list(values)
         if not values:
             return cls()
+        n = len(values)
+        ordered = sorted(values)  # once for the three quantiles; the mean sums in the given order
         return cls(
-            count=len(values),
-            mean=sum(values) / len(values),
-            p50=quantile(values, 0.50),
-            p90=quantile(values, 0.90),
-            p99=quantile(values, 0.99),
+            count=n,
+            mean=sum(values) / n,
+            p50=ordered[_rank(0.50, n)],
+            p90=ordered[_rank(0.90, n)],
+            p99=ordered[_rank(0.99, n)],
         )
 
     def to_dict(self) -> dict:
@@ -80,29 +85,38 @@ class LatencySummary:
         }
 
 
-def _post_warmup(log: MetricsLog, warmup_fraction: float) -> tuple[list[RequestRecord], int]:
+def _post_warmup(log: MetricsLog, warmup_fraction: float,
+                 done: list[RequestRecord] | None) -> tuple[list[RequestRecord], int]:
     cutoff = warmup_fraction * log.horizon_ms
-    done = log.completed_records()
+    if done is None:
+        done = log.completed_records()
     kept = [r for r in done if r.arrival_ms >= cutoff]
     return kept, len(done) - len(kept)
 
 
-def summarize_latency(log: MetricsLog, warmup_fraction: float = WARMUP_FRACTION) -> LatencySummary:
+# ``done``, where the functions below take it, is ``log.completed_records()``
+# when the caller has listed them already, so that several summaries of one
+# log list them once.
+def summarize_latency(log: MetricsLog, warmup_fraction: float = WARMUP_FRACTION,
+                      done: list[RequestRecord] | None = None) -> LatencySummary:
     """Exact percentiles over completed requests, split by modality.
 
     Requests arriving during the warm-up portion of the horizon are excluded;
     in-flight requests at the horizon are counted separately.
     """
-    kept, excluded = _post_warmup(log, warmup_fraction)
-    groups = {
-        "overall": kept,
-        "text-only": [r for r in kept if not r.multimodal],
-        "image-text": [r for r in kept if r.multimodal],
-    }
-    ttft = {k: MetricStats.from_values([r.ttft_ms for r in v if r.ttft_ms is not None])
-            for k, v in groups.items()}
-    tbt = {k: MetricStats.from_values([r.tbt_p99_ms for r in v if r.tbt_p99_ms is not None])
-           for k, v in groups.items()}
+    kept, excluded = _post_warmup(log, warmup_fraction, done)
+    groups = (
+        ("overall", lambda: kept),
+        ("text-only", lambda: [r for r in kept if not r.multimodal]),
+        ("image-text", lambda: [r for r in kept if r.multimodal]),
+    )
+    # One group's records are listed at a time, and from_values lists the
+    # values it is given once, so a summary holds few record-sized lists.
+    ttft, tbt = {}, {}
+    for group, listed in groups:
+        records = listed()
+        ttft[group] = MetricStats.from_values(r.ttft_ms for r in records if r.ttft_ms is not None)
+        tbt[group] = MetricStats.from_values(r.tbt_p99_ms for r in records if r.tbt_p99_ms is not None)
     return LatencySummary(
         ttft=ttft,
         tbt=tbt,
@@ -122,7 +136,8 @@ class AttainmentWindow:
     p99_ttft_ms: float = 0.0
 
 
-def slo_attainment(log: MetricsLog, window_ms: float) -> list[AttainmentWindow]:
+def slo_attainment(log: MetricsLog, window_ms: float,
+                   done: list[RequestRecord] | None = None) -> list[AttainmentWindow]:
     """Per-window fraction of completed requests meeting both SLOs.
 
     Also carries the per-window P99 TTFT (tail latency is reported both
@@ -135,10 +150,14 @@ def slo_attainment(log: MetricsLog, window_ms: float) -> list[AttainmentWindow]:
     counts = [0] * n_windows
     ok = [0] * n_windows
     ttfts: list[list[float]] = [[] for _ in range(n_windows)]
-    for rec in log.completed_records():
-        w = min(n_windows - 1, int(rec.completion_ms / window_ms))
+    last = n_windows - 1
+    for rec in log.completed_records() if done is None else done:
+        w = int(rec.completion_ms / window_ms)
+        if w > last:
+            w = last
         counts[w] += 1
-        ok[w] += int(bool(rec.slo_ok))
+        if rec.slo_ok:
+            ok[w] += 1
         if rec.ttft_ms is not None:
             ttfts[w].append(rec.ttft_ms)
     out = []
@@ -157,8 +176,9 @@ def slo_attainment(log: MetricsLog, window_ms: float) -> list[AttainmentWindow]:
     return out
 
 
-def overall_attainment(log: MetricsLog, warmup_fraction: float = WARMUP_FRACTION) -> float:
-    kept, _ = _post_warmup(log, warmup_fraction)
+def overall_attainment(log: MetricsLog, warmup_fraction: float = WARMUP_FRACTION,
+                       done: list[RequestRecord] | None = None) -> float:
+    kept, _ = _post_warmup(log, warmup_fraction, done)
     if not kept:
         return 1.0
     return sum(int(bool(r.slo_ok)) for r in kept) / len(kept)

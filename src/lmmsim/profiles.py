@@ -19,6 +19,9 @@ from .core import (Architecture, ModelSpec, SLOSpec, StageKind, exact, image_tok
                    tile_count)
 
 TP_POINTS = (1, 2, 4, 8)
+# Read on every prefill_latency call; a member read off its Enum class costs
+# several times a global under CPython 3.11.
+_DEC_ONLY = Architecture.DEC_ONLY
 
 
 class ProfileError(ValueError):
@@ -151,7 +154,7 @@ class LatencyProfile:
             raise ProfileError("token counts must be >= 0")
         if text_tokens + img_tokens == 0:
             raise ProfileError("prefill needs at least one token")
-        if self.model.architecture is Architecture.DEC_ONLY:
+        if self.model.architecture is _DEC_ONLY:
             k = _interp_tp(self.prefill_ms_per_token, tp)
             return k * (text_tokens + img_tokens)
         k = _interp_tp(self.prefill_self_ms_per_token, tp)

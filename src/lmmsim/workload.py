@@ -56,8 +56,12 @@ def _parse_dims(cell: str) -> list[tuple[int, int]]:
 def load_trace(path: str | Path, model: ModelSpec) -> TraceLoadResult:
     """Parse a trace CSV into Requests sorted by arrival time.
 
-    Malformed rows are counted and skipped; more than MAX_MALFORMED_FRAC of
-    them is a hard error.
+    The first row is the header, even when blank; a repeated column name
+    reads its last column, and other columns are ignored. Blank lines are
+    skipped and not counted. A row whose field count differs from the
+    header's, or with a bad value (a non-finite or negative arrival time,
+    image dims that do not match ``num_images``, ...), is malformed: counted
+    and skipped. More than MAX_MALFORMED_FRAC of them is a hard error.
     """
     path = Path(path)
     if not path.exists():
@@ -66,34 +70,35 @@ def load_trace(path: str | Path, model: ModelSpec) -> TraceLoadResult:
     malformed = 0
     total = 0
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
             return TraceLoadResult([], 0)
-        missing = [c for c in TRACE_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in TRACE_COLUMNS if c not in header]
         if missing:
             raise TraceError(f"trace {path} missing columns: {missing}")
-        for row in reader:
+        column = {name: i for i, name in enumerate(header)}  # the last of a repeated name wins
+        i_arrival, i_service, i_text, i_images, i_dims, i_output = (column[c] for c in TRACE_COLUMNS)
+        width = len(header)
+        for row in rows:
+            if not row:
+                continue
             total += 1
             try:
-                if None in row.values() or None in row:  # DictReader's marks of a short or long row
+                if len(row) != width:
                     raise ValueError("field count differs from the header")
-                dims = _parse_dims(row["image_dims"])
-                if int(row["num_images"]) != len(dims):
-                    raise ValueError("num_images does not match image_dims")
-                arrival_ms = float(row["arrival_ms"])
-                if arrival_ms < 0:
-                    raise ValueError("negative arrival time")
+                arrival_ms = float(row[i_arrival])
+                if not 0.0 <= arrival_ms < math.inf:  # also false for nan
+                    raise ValueError("arrival time not finite and >= 0")
                 # Request and ImageSpec reject the remaining bad values with
                 # SpecError, a ValueError.
-                requests.append(Request(
-                    id=0,
-                    arrival_ms=arrival_ms,
-                    text_tokens=int(row["text_tokens"]),
-                    images=tuple(ImageSpec.from_dims(w, h, model) for w, h in dims),
-                    output_tokens=int(row["output_tokens"]),
-                    service_id=row["service_id"] or "default",
-                ))
-            except (ValueError, KeyError):
+                cell = row[i_dims]
+                images = tuple(ImageSpec.from_dims(w, h, model) for w, h in _parse_dims(cell)) if cell else ()
+                if int(row[i_images]) != len(images):
+                    raise ValueError("num_images does not match image_dims")
+                requests.append(Request(0, arrival_ms, int(row[i_text]), images, int(row[i_output]),
+                                        row[i_service] or "default"))
+            except ValueError:
                 malformed += 1
     if total > 0 and malformed / total > MAX_MALFORMED_FRAC:
         raise TraceError(f"{malformed}/{total} malformed rows in {path} exceeds {MAX_MALFORMED_FRAC:.0%}")

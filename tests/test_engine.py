@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import io
@@ -14,9 +15,11 @@ from conftest import MODELS, PROFILES, make_request, make_sim, make_slo
 from lmmsim import experiment
 from lmmsim.core import Architecture, StageKind
 from lmmsim.engine import (
+    CSV_FIELDS,
     DecodeLane,
     InstancePlan,
     InstanceState,
+    MetricsLog,
     ServerSpec,
     SimulationError,
     TransferMedium,
@@ -877,3 +880,79 @@ class TestWeightedQuantile:
         pairs = [(1.0, 99.0), (100.0, 1.0)]
         assert weighted_quantile(pairs, 0.5) == 1.0
         assert weighted_quantile(pairs, 0.999) == 100.0
+
+
+def _reference_csv(log: MetricsLog) -> str:
+    """The request CSV as csv.writer writes it, one value at a time: empty for
+    None, four decimals for a float, 0/1 for a bool, the value otherwise."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CSV_FIELDS)
+    for rec in log.records.values():
+        writer.writerow(["" if x is None else f"{x:.4f}" if isinstance(x, float)
+                         else int(x) if isinstance(x, bool) else x
+                         for x in (getattr(rec, name) for name in CSV_FIELDS)])
+    return buf.getvalue()
+
+
+def _written_csv(log: MetricsLog, path: Path) -> str:
+    log.to_csv(path)
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+class _Tokens(int):
+    """An int whose text is not its decimal: the CSV writes it as text."""
+
+    def __str__(self):
+        return f"{int(self)} tokens, counted"
+
+
+def _record(rid, service_id="chat", **stamps):
+    return RequestRecord(rid, service_id, rid % 2 == 1, 10.0 * rid, 100, 0, 8, 0,
+                         ttft_slo_ms=500.0, tbt_slo_ms=50.0, **stamps)
+
+
+class TestRequestCsv:
+    def test_matches_the_csv_writer_reference(self, tmp_path):
+        done = dict(prefill_start_ms=1.0, prefill_end_ms=2.5, completion_ms=9.0, ttft_ms=2.5,
+                    tbt_p99_ms=0.75)
+        records = [
+            _record(0, "a,b", slo_ok=True, **done),
+            _record(1, 'say "hi"', slo_ok=False, **done),
+            _record(2, "two\nlines", **done),  # completed with slo_ok unset
+            _record(3, "cr\rreturn", slo_ok=True, **done),
+            _record(4, ""),  # in flight: every stamp None
+            _record(5, "default", prep_start_ms=0.5),  # in flight, one stage started
+            _record(6, " spaced ;'quoted' é", slo_ok=True, **done),
+            _record(10, StageKind.PREFILL, **done),  # a str subclass: its characters, not its str()
+            # An int where a float goes; numpy scalars; signed zero and infinities.
+            _record(7, slo_ok=True, **{**done, "ttft_ms": 3, "completion_ms": 12}),
+            _record(8, slo_ok=np.bool_(True), **{**done, "ttft_ms": np.float64(1 / 3),
+                                                 "completion_ms": np.float64(1e6 + 0.00005)}),
+            _record(9, slo_ok=False, **{**done, "ttft_ms": -0.0, "tbt_p99_ms": math.inf,
+                                        "completion_ms": -math.inf, "prefill_end_ms": math.nan}),
+        ]
+        records[8].text_tokens = np.int64(42)
+        records[8].output_tokens = _Tokens(8)
+        records[8].arrival_ms = np.float64(2.00005)
+        records[9].arrival_ms = 5  # an int in a float column
+        log = MetricsLog(horizon_ms=100.0, seed=1)
+        log.records = {r.request_id: r for r in records}
+        assert _written_csv(log, tmp_path / "r.csv") == _reference_csv(log)
+
+    @given(st.lists(st.text(alphabet=st.sampled_from(list('ab ,"\r\n\'é;')), max_size=6), max_size=12))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_service_ids_quote_as_the_reference(self, tmp_path_factory, services):
+        log = MetricsLog(horizon_ms=100.0, seed=1)
+        log.records = {i: _record(i, service, **({"completion_ms": 3.0, "slo_ok": True} if i % 3 else {}))
+                       for i, service in enumerate(services)}
+        path = tmp_path_factory.mktemp("csv") / "r.csv"
+        assert _written_csv(log, path) == _reference_csv(log)
+
+    def test_simulated_log_matches_the_reference(self, tmp_path):
+        reqs = [make_request(i, 40.0 * i, text=200 + 7 * i, n_images=i % 3, out=4 + i % 9)
+                for i in range(80)]
+        log = make_sim(reqs, horizon_ms=2_500.0).run()
+        assert 0 < log.completed < len(reqs)  # some records still in flight
+        assert _written_csv(log, tmp_path / "r.csv") == _reference_csv(log)

@@ -7,8 +7,10 @@ in CHANGES.md.
 """
 
 import contextlib
+import csv
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from lmmsim.experiment import (
     run_experiment,
     validate_config,
 )
+from lmmsim.workload import TRACE_COLUMNS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -137,6 +140,42 @@ def test_invariants_hold(name):
     exp = validate_config(config_from_dict(VARIANTS[name], CONFIGS))
     log = build_simulation(exp, 1, validate=True).run()
     assert log.completed > 0
+
+
+# A fixed 120 s trace at about 5 req/s, a third of it image-bearing, whose
+# service ids include ones the request CSV must quote, and an empty one that
+# replays as "default". Uniform gaps and integer draws keep every cell exact.
+TRACE_SERVICES = ["chat", "vision", "a,b", 'say "hi"', "two\nlines", ""]
+
+
+def _write_replay_trace(path: Path) -> None:
+    rng = random.Random(18)
+    t = 0.0
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        while True:
+            t += 50.0 + 300.0 * rng.random()
+            if t >= 120_000:
+                break
+            n_images = 1 + int(3 * rng.random()) if rng.random() < 0.3 else 0
+            dims = ";".join(f"{200 + int(600 * rng.random())}x{200 + int(600 * rng.random())}"
+                            for _ in range(n_images))
+            writer.writerow([f"{t:.3f}", TRACE_SERVICES[int(len(TRACE_SERVICES) * rng.random())],
+                             256 + int(2000 * rng.random()), n_images, dims, 1 + int(200 * rng.random())])
+
+
+TRACE_REPLAY_PIN = {
+    "requests_seed1.csv": "cfe5da0782760da99f9d4b51721f191526f71212c189d37e6124367ccc710699",
+    "requests_seed2.csv": "9ea24601a88733c106e32184aa71f529414a26ff34d0de5c6e93f194a2635df4",
+}
+
+
+def test_trace_replay_unchanged(tmp_path):
+    trace = tmp_path / "trace.csv"
+    _write_replay_trace(trace)
+    raw = _demo(workload={"trace": str(trace)}, horizon_ms=120_000)
+    assert request_digests(raw, tmp_path / "out") == TRACE_REPLAY_PIN
 
 
 # The demo with a looser SLO and 40 s probes: the capacity search doubles

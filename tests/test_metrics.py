@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_request, make_sim
@@ -9,6 +9,7 @@ from lmmsim.engine import MetricsLog, RequestRecord
 from lmmsim.metrics import (
     MAX_DOUBLINGS,
     AttainmentWindow,
+    MetricStats,
     cost_summary,
     max_throughput,
     miss_budget,
@@ -63,6 +64,17 @@ class TestQuantile:
     def test_matches_naive_full_sort_oracle(self, values):
         for q in (0.5, 0.9, 0.99):
             assert quantile(values, q) == naive_quantile(values, q)
+
+    @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=300))
+    @example([float(v * 7919 % 1000) for v in range(1000)])
+    @settings(max_examples=200, derandomize=True)
+    def test_stats_are_the_quantiles_and_the_mean_in_order(self, values):
+        # One sort serves the three quantiles; the mean sums in the given
+        # order, so its float is the one a plain sum gives.
+        stats = MetricStats.from_values(iter(values))
+        assert (stats.count, stats.mean, stats.p50, stats.p90, stats.p99) == (
+            len(values), sum(values) / len(values),
+            naive_quantile(values, 0.5), naive_quantile(values, 0.9), naive_quantile(values, 0.99))
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=300))
     @settings(max_examples=100)

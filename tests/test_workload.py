@@ -1,10 +1,17 @@
+import csv
+import io
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmmsim.core import get_model_spec
+from lmmsim import workload
+from lmmsim.core import ImageSpec, Request, get_model_spec
 from lmmsim.workload import (
+    TRACE_COLUMNS,
     BurstEpisode,
     GeneratorConfig,
     TraceError,
@@ -71,7 +78,7 @@ class TestLoadTrace:
         assert len(result.requests) == 100
 
     def test_short_row_is_malformed(self, tmp_path):
-        # csv.DictReader fills the missing fields of a short row with None.
+        # A row with fewer fields than the header is malformed, not padded.
         rows = [f"{i},chat,10,0,,1" for i in range(299)] + ["2.0,chat"]
         result = load_trace(make_trace(tmp_path, rows), INTERNVL)
         assert result.malformed_rows == 1
@@ -104,6 +111,148 @@ class TestLoadTrace:
         assert [r.total_image_tokens for r in back.requests] == [
             r.total_image_tokens for r in reqs
         ]
+
+
+    def test_non_finite_arrival_is_malformed(self, tmp_path):
+        # Each would be dropped later by the horizon filter, not counted.
+        rows = [f"{i},chat,10,0,,1" for i in range(400)]
+        rows += ["nan,chat,10,0,,1", "inf,chat,10,0,,1", "-inf,chat,10,0,,1", "-1,chat,10,0,,1"]
+        result = load_trace(make_trace(tmp_path, rows), INTERNVL)
+        assert result.malformed_rows == 4
+        assert len(result.requests) == 400
+
+
+def _reference_load(path, model):
+    """What a trace file means, read with csv.DictReader one dict per row.
+
+    Returns ``(requests, malformed, total)`` before the malformed-share rule,
+    or raises TraceError for a missing column.
+    """
+    requests, malformed, total = [], 0, 0
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            return [], 0, 0
+        if any(c not in reader.fieldnames for c in TRACE_COLUMNS):
+            raise TraceError("missing columns")
+        for row in reader:
+            total += 1
+            try:
+                if None in row.values() or None in row:  # a short or a long row
+                    raise ValueError("field count")
+                dims = []
+                cell = row["image_dims"].strip()
+                for part in cell.split(";") if cell else []:
+                    w, h = part.lower().split("x")
+                    dims.append((int(w), int(h)))
+                if int(row["num_images"]) != len(dims):
+                    raise ValueError("num_images")
+                arrival_ms = float(row["arrival_ms"])
+                if arrival_ms != arrival_ms or arrival_ms in (float("inf"), float("-inf")) or arrival_ms < 0:
+                    raise ValueError("arrival_ms")
+                requests.append(Request(
+                    id=0, arrival_ms=arrival_ms, text_tokens=int(row["text_tokens"]),
+                    images=tuple(ImageSpec.from_dims(w, h, model) for w, h in dims),
+                    output_tokens=int(row["output_tokens"]), service_id=row["service_id"] or "default"))
+            except ValueError:
+                malformed += 1
+    requests.sort(key=lambda r: r.arrival_ms)
+    for i, req in enumerate(requests):
+        req.id = i
+    return requests, malformed, total
+
+
+def _assert_reads_as_reference(path):
+    """load_trace gives the reference's requests and malformed count, and
+    rejects the file exactly when the reference's malformed share is too high."""
+    try:
+        expected, malformed, total = _reference_load(path, INTERNVL)
+    except TraceError:
+        with pytest.raises(TraceError):
+            load_trace(path, INTERNVL)
+        return
+    with mock.patch.object(workload, "MAX_MALFORMED_FRAC", 1.0):
+        result = load_trace(path, INTERNVL)
+    assert (result.requests, result.malformed_rows) == (expected, malformed)
+    if total and malformed / total > workload.MAX_MALFORMED_FRAC:
+        with pytest.raises(TraceError):
+            load_trace(path, INTERNVL)
+    else:
+        assert load_trace(path, INTERNVL) == result
+
+
+HEADER = ",".join(TRACE_COLUMNS)
+READER_CASES = {
+    "empty file": "",
+    "header only": HEADER + "\n",
+    "header without newline": HEADER,
+    "blank first line": "\n" + HEADER + "\n0,chat,10,0,,1\n",
+    "blank lines between and after": HEADER + "\n\n0,chat,10,0,,1\n\n\n5,chat,3,0,,2\n\n",
+    "only blank lines": "\n\n\n",
+    "crlf": HEADER + "\r\n0,chat,10,0,,1\r\n\r\n7.5,vision,10,2,64x64;900X20,3\r\n",
+    "quoted cells": HEADER + '\n1,"a,b",10,0,,1\n2,"say ""hi""",10,1,"64x64",1\n3,"two\nlines",5,0,"",2\n',
+    "empty service": HEADER + "\n1,,10,0,,1\n",
+    "reordered and extra columns":
+        "note,output_tokens,image_dims,num_images,text_tokens,service_id,arrival_ms\n"
+        "x,4,64x64,1,10,chat,3.5\ny,2,,0,7,,1\n",
+    "duplicated column reads the last":
+        "arrival_ms,service_id,text_tokens,num_images,image_dims,output_tokens,text_tokens\n"
+        "1,chat,bad,0,,1,12\n2,chat,5,0,,1,x\n",
+    "short and long rows": HEADER + "\n" + "\n".join(
+        [f"{i},chat,10,0,,1" for i in range(200)] + ["5,chat,10,0,", "6,chat,10,0,,1,extra"]) + "\n",
+    "one empty cell line": HEADER + '\n""\n' + "\n".join(f"{i},c,1,0,,1" for i in range(150)) + "\n",
+    "missing column": "arrival_ms,service_id,text_tokens,num_images,output_tokens\n1,chat,10,0,1\n",
+    "bad values": HEADER + "\n" + "\n".join(
+        ["nan,chat,10,0,,1", "1,chat,10,2,64x64,1", "1,chat,10,1,64x64x2,1", "1,chat,10,1,0x64,1",
+         "1,chat,0,0,,1", "1,chat,10,0,,0", "1,chat, 10 ,0, ,1", "1e3,chat,1_0,0,,1"]) + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_reader_matches_dictreader_reference(name, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(READER_CASES[name].encode())
+    _assert_reads_as_reference(path)
+
+
+# Cells per column: mostly valid values, some that are not.
+_CELLS = {
+    "arrival_ms": ["0", "12.5", "300", "7", "1e3", "-1", "nan", "inf", "x", ""],
+    "service_id": ["chat", "vision", "", "a,b", 'q"q', "two\nlines", " "],
+    "text_tokens": ["10", "250", "0", "-3", "x"],
+    "num_images": ["0", "0", "1", "2", "x"],
+    "image_dims": ["", "", "64x64", "900x20;33x77", "0x5", "5", " "],
+    "output_tokens": ["1", "64", "0", "x"],
+}
+_OTHER_CELLS = ["", "z", "1,2", "x"]
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace file's text: shuffled, repeated and extra columns, rows of any
+    length, blank lines, and LF or CRLF line ends."""
+    header = draw(st.permutations(TRACE_COLUMNS))
+    header = header[:len(header) - draw(st.integers(0, 1))]  # sometimes a column short
+    header += draw(st.lists(st.sampled_from(TRACE_COLUMNS + ["note", "extra"]), max_size=2))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])  # a blank line
+            continue
+        width = len(header) + draw(st.sampled_from([0, 0, 0, 0, -1, 1, -len(header) + 1]))
+        rows.append([draw(st.sampled_from(_CELLS.get(name, _OTHER_CELLS)))
+                     for name in (header + ["note"] * 2)[:width]])
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([header] + rows)
+    return buf.getvalue()
+
+
+@given(trace_texts())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_reader_matches_dictreader_reference_on_generated_files(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    path.write_bytes(text.encode())
+    _assert_reads_as_reference(path)
 
 
 class TestGenerator:
