@@ -7,7 +7,11 @@ keeps event counts proportional to requests rather than generated tokens
 while preserving batch-dependent per-token latency.
 
 Event ordering is total: (time, event-type rank, sequence number), so a run
-is bit-reproducible for a fixed (workload, config, seed).
+is bit-reproducible for a fixed (workload, config, seed). Arrivals are not
+pushed on the event heap: the run reads them from the sorted workload beside
+it, and the next arrival goes first iff (arrival time, EV_ARRIVAL) is below
+the heap head's (time, kind). That is the order one heap of all events would
+give, because it would never hold two arrivals at once.
 """
 
 from __future__ import annotations
@@ -15,15 +19,17 @@ from __future__ import annotations
 import functools
 import gc
 import heapq
+import itertools
 import math
 import operator
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from collections.abc import Callable
 # Bound here, so bench/tracing.py's stand-in ``heapq`` sees only event-heap calls.
 from heapq import heappop as _heappop, heappush as _heappush
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +101,6 @@ class WorkItem:
 def form_batch(queue: list[WorkItem], now: float, scheduler: SchedulerKind,
                aging_slo_fraction: float, max_batch: dict) -> list[WorkItem]:
     """Take the next batch off ``queue``: scheduler order, one stage, capped."""
-    if len(queue) == 1:  # any order of one item is [0], and every cap is >= 1
-        return [queue.pop()]
     order = pol.schedule_order(queue, now, scheduler, aging_slo_fraction)
     if not order:
         return []
@@ -227,7 +231,8 @@ class DecodeLane:
         if step is None:
             step = self._steps_ms[n] = self._tbt_latency(n, self.tp)
         self.step_ms = step
-        return max(self.remaining(self.heap[0]) * step, 0.0)
+        whole, frac, _rid = self.heap[0]
+        return max(((whole - self.progress) + (frac - self.frac)) * step, 0.0)  # ``remaining``, inlined
 
 
 class Lane:
@@ -275,6 +280,8 @@ class Instance:
 
 
 _instance_id = operator.attrgetter("id")
+_arrival_ms = operator.attrgetter("arrival_ms")
+_arrival_order = operator.attrgetter("arrival_ms", "id")
 
 
 class LoadIndex:
@@ -308,12 +315,12 @@ class LoadIndex:
 
     def update(self, inst: Instance) -> None:
         old = self._entry[inst.id]
-        new = (self.key(inst), inst.id)
-        if new != old:
+        load = self.key(inst)
+        if load != old[0]:
             by_load = self.by_load
             del by_load[bisect_left(by_load, old)]
+            self._entry[inst.id] = new = (load, inst.id)
             insort(by_load, new)
-            self._entry[inst.id] = new
 
     def __len__(self) -> int:
         return len(self.by_load)
@@ -471,19 +478,25 @@ def _csv_row_format(kinds: tuple[type, ...]) -> tuple[str, tuple]:
     return ",".join(specs) + "\r\n", tuple(texts)
 
 
-_weight = operator.itemgetter(1)
-
-
 def weighted_quantile(pairs: list[tuple[float, float]], q: float) -> float:
-    """Nearest-rank (lower) quantile over weighted samples."""
+    """Nearest-rank (lower) quantile over weighted samples.
+
+    The answer is the first value, in sorted order, whose running weight
+    reaches ``q`` of the total, less 1e-12. The total is the same
+    left-to-right sum as the running weights (``sum`` compensates its
+    rounding from Python 3.12), so the last running weight is the total.
+    """
     if len(pairs) < 2:  # the one value is every quantile
         return pairs[0][0] if pairs else 0.0
     ordered = sorted(pairs)
-    target = q * sum(map(_weight, ordered)) - 1e-12
-    acc = 0.0
+    total = 0.0
+    for _, w in ordered:
+        total += w
+    target = q * total - 1e-12
+    running = 0.0
     for value, w in ordered:
-        acc += w
-        if acc >= target:
+        running += w
+        if running >= target:
             return value
     return value
 
@@ -500,13 +513,24 @@ EV_DECODE_ARRIVAL = 5
 EV_ARRIVAL = 6
 EV_SCALE_TICK = 7
 
-# The RequestRecord stamps of each stage a batch lane runs: the first start
-# and the last end across a request's shards.
-_STAMPS = {
-    StageKind.PREPROCESS: ("prep_start_ms", "prep_end_ms"),
-    StageKind.ENCODE: ("encode_start_ms", "encode_end_ms"),
-    StageKind.PREFILL: ("prefill_start_ms", "prefill_end_ms"),
+
+class StageFacts(NamedTuple):
+    """One stage a batch lane runs: the RequestRecord stamps it sets (the
+    first start and the last end across a request's shards), and whether
+    its queueing delay counts in the autoscaler's window. How long a batch
+    of it runs is stated in ``Simulation._dispatch``."""
+
+    start: str
+    end: str
+    waits: bool
+
+
+_STAGES = {
+    StageKind.PREPROCESS: StageFacts("prep_start_ms", "prep_end_ms", False),
+    StageKind.ENCODE: StageFacts("encode_start_ms", "encode_end_ms", True),
+    StageKind.PREFILL: StageFacts("prefill_start_ms", "prefill_end_ms", True),
 }
+_NO_ARRIVAL = (math.inf, EV_ARRIVAL)  # the arrival key once the workload is spent
 
 
 class Simulation:
@@ -536,7 +560,9 @@ class Simulation:
         self.policies = policies
         self.roles = POOL_ROLES[policies.topology]
         self.servers = {s.server_id: s for s in servers}
-        self.workload = sorted(workload, key=lambda r: (r.arrival_ms, r.id))
+        # The arrivals, in (arrival_ms, id) order, up to the horizon.
+        self.workload = sorted(workload, key=_arrival_order)
+        del self.workload[bisect_right(self.workload, horizon_ms, key=_arrival_ms):]
         self.horizon_ms = horizon_ms
         self.seed = seed
         self.transfer_medium = transfer_medium
@@ -555,10 +581,10 @@ class Simulation:
         self.now = 0.0
         self.rng = np.random.default_rng(seed)
         self.heap: list = []
-        self._seq = 0
+        self._event_seqs = itertools.count(1)  # the tie-break of events at one (time, kind)
         self.instances: dict[int, Instance] = {}
         self._next_instance_id = 0
-        self._next_item_seq = 0
+        self._item_seqs = itertools.count(1)  # a lane queue's tie-break at one enqueue_ms
         # Image-bearing requests that found no active image instance, in
         # arrival order; routed again when an instance starts. Text-family
         # pools always keep an active instance, so nothing waits for them.
@@ -633,8 +659,7 @@ class Simulation:
     # Event plumbing
     # ------------------------------------------------------------------
     def _push(self, time_ms: float, kind: int, data=None) -> None:
-        self._seq += 1
-        heapq.heappush(self.heap, (time_ms, kind, self._seq, data))
+        heapq.heappush(self.heap, (time_ms, kind, next(self._event_seqs), data))
 
     def _allocation_changed(self) -> None:
         gpus = sum(i.tp for i in self.instances.values() if i.state is not InstanceState.STOPPED)
@@ -650,8 +675,8 @@ class Simulation:
         self._win_output_tokens = 0
         self._win_completed = 0
         self._win_slo_ok = 0
-        # Queueing delay of the stages the autoscaler weighs; preprocess is not one.
-        self._win_wait = {StageKind.ENCODE: [0.0, 0], StageKind.PREFILL: [0.0, 0]}
+        # Queueing delay of the stages the autoscaler weighs, as [total, count].
+        self._win_wait = {stage: [0.0, 0] for stage, facts in _STAGES.items() if facts.waits}
 
     # ------------------------------------------------------------------
     # Pools and routing
@@ -695,6 +720,12 @@ class Simulation:
     def run(self) -> MetricsLog:
         """Run the event loop to the horizon (or to a stop) and return the log.
 
+        Arrivals are read from ``workload`` beside the event heap: the next
+        one goes first iff ``(arrival_ms, EV_ARRIVAL)`` is below the heap
+        head's ``(time, kind)``. That is the order one heap holding every
+        event would give, because the heap would never hold two arrivals at
+        once: each arrival would push the next as it is handled.
+
         The cyclic garbage collector is paused while the loop runs and left
         as the caller had it: the loop creates no reference cycles, so
         reference counting frees all it discards and a collection would
@@ -703,7 +734,6 @@ class Simulation:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            self._push_arrival(0)
             if self.autoscaler is not None:
                 self._push(self.scale_interval_ms, EV_SCALE_TICK)
 
@@ -714,19 +744,35 @@ class Simulation:
                 EV_DECODE_DONE: self._on_decode_done,
                 EV_TRANSFER_DONE: self._on_transfer_done,
                 EV_DECODE_ARRIVAL: self._on_decode_arrival,
-                EV_ARRIVAL: self._on_arrival,
                 EV_SCALE_TICK: self._on_scale_tick,
             }
+            on_arrival = self._on_arrival
             self._stop_ms = self.horizon_ms
             reached_stop = False
-            heap, validate = self.heap, self.validate
-            while heap:
-                time_ms, kind, _seq, data = heapq.heappop(heap)
-                if time_ms > self._stop_ms:
-                    reached_stop = True
+            heap, validate, workload = self.heap, self.validate, self.workload
+            # Read at the start of the run, so a stand-in ``heapq`` (bench/tracing.py) sees every pop.
+            heappop = heapq.heappop
+            n_arrivals, arrived = len(workload), 0
+            arrival = (workload[0].arrival_ms, EV_ARRIVAL) if workload else _NO_ARRIVAL
+            while True:
+                if heap and heap[0] < arrival:
+                    time_ms, kind, _seq, data = heappop(heap)
+                    if time_ms > self._stop_ms:
+                        reached_stop = True
+                        break
+                    self.now = time_ms
+                    handlers[kind](data)
+                elif arrived < n_arrivals:
+                    if arrival[0] > self._stop_ms:
+                        reached_stop = True
+                        break
+                    self.now = arrival[0]
+                    arrived += 1
+                    arrival = ((workload[arrived].arrival_ms, EV_ARRIVAL) if arrived < n_arrivals
+                               else _NO_ARRIVAL)
+                    on_arrival(arrived - 1)
+                else:
                     break
-                self.now = time_ms
-                handlers[kind](data)
                 if validate:
                     self._check_invariants()
 
@@ -751,14 +797,7 @@ class Simulation:
     # ------------------------------------------------------------------
     # Arrival and routing
     # ------------------------------------------------------------------
-    def _push_arrival(self, idx: int) -> None:
-        """Push the ``idx``-th arrival if it is within the horizon. Each
-        arrival pushes the next as it is handled, so the heap holds one."""
-        if idx < len(self.workload) and self.workload[idx].arrival_ms <= self.horizon_ms:
-            self._push(self.workload[idx].arrival_ms, EV_ARRIVAL, idx)
-
     def _on_arrival(self, idx: int) -> None:
-        self._push_arrival(idx + 1)
         req = self.workload[idx]
         multimodal = req.is_multimodal
         rec = RequestRecord(req.id, req.service_id, multimodal, req.arrival_ms, req.text_tokens,
@@ -832,48 +871,48 @@ class Simulation:
     # ------------------------------------------------------------------
     # Batch lanes: CPU (preprocess) and GPU (encode + prefill)
     # ------------------------------------------------------------------
-    def _new_item(self, req: Request, rec: RequestRecord, stage: StageKind, tiles: int) -> WorkItem:
-        self._next_item_seq += 1
-        size = (req.text_tokens + req.total_image_tokens if stage is _PREFILL
-                else tiles * self.model.tokens_per_tile)
-        return WorkItem(self._next_item_seq, stage, size, tiles, self.now, rec.ttft_slo_ms, req, rec)
-
     def _enqueue_shard(self, inst: Instance, req: Request, rec: RequestRecord,
                        image_idx: list[int], reserve: bool) -> None:
         images = req.images
         tiles = sum([images[k].tiles for k in image_idx])
+        size = tiles * self.model.tokens_per_tile
         if reserve:
-            self._reserve(inst, req.id, 0, tiles * self.model.tokens_per_tile)
-        inst.cpu.queue.append(self._new_item(req, rec, _PREPROCESS, tiles))
+            self._reserve(inst, req.id, 0, size)
+        inst.cpu.queue.append(WorkItem(next(self._item_seqs), _PREPROCESS, size, tiles, self.now,
+                                       rec.ttft_slo_ms, req, rec))
         self._dispatch(inst, inst.cpu)
 
     def _enqueue_prefill(self, inst: Instance, req: Request, rec: RequestRecord) -> None:
-        inst.gpu.queue.append(self._new_item(req, rec, _PREFILL, 0))
+        inst.gpu.queue.append(WorkItem(next(self._item_seqs), _PREFILL,
+                                       req.text_tokens + req.total_image_tokens, 0, self.now,
+                                       rec.ttft_slo_ms, req, rec))
         self._dispatch(inst, inst.gpu)
 
-    def _service_ms(self, inst: Instance, batch: list[WorkItem]) -> float:
-        stage, p = batch[0].stage, self.profile
-        if stage is _PREFILL:
-            if len(batch) == 1:
-                req = batch[0].req
-                return p.prefill_latency(req.text_tokens, req.total_image_tokens, inst.tp)
-            return sum(p.prefill_latency(it.req.text_tokens, it.req.total_image_tokens, inst.tp)
-                       for it in batch)
-        tiles = batch[0].tiles if len(batch) == 1 else sum([it.tiles for it in batch])
-        if stage is _ENCODE:
-            return p.encode_latency(tiles, inst.tp)
-        return p.preprocess_latency(tiles, inst.cpu_cores)
-
     def _dispatch(self, inst: Instance, lane: Lane) -> None:
-        """Start the lane's next batch if it is free and has work queued."""
-        if lane.busy or not lane.queue:
+        """Start the lane's next batch if it is free and has work queued.
+
+        A queue of one item is its own batch: any scheduler order of one
+        item is that item, and every cap is at least 1. A longer queue goes
+        through ``form_batch``. The same loop then stamps each item, counts
+        its wait and prices it. A prefill batch runs for the sum of its
+        items' prefills; a preprocess or encode batch for its total tiles.
+        """
+        queue = lane.queue
+        if lane.busy or not queue:
             return
-        now, policies = self.now, self.policies
-        batch = form_batch(lane.queue, now, policies.scheduler, policies.aging_slo_fraction,
-                           self.max_batch)
+        now = self.now
+        if len(queue) == 1:
+            batch = [queue.pop()]
+        else:
+            policies = self.policies
+            batch = form_batch(queue, now, policies.scheduler, policies.aging_slo_fraction,
+                               self.max_batch)
         stage = batch[0].stage
-        start = _STAMPS[stage][0]
+        start = _STAGES[stage].start
         wait = self._win_wait.get(stage)
+        prefill = stage is _PREFILL
+        profile, tp = self.profile, inst.tp
+        service_ms, tiles = 0.0, 0
         for it in batch:
             rec = it.rec
             if getattr(rec, start) is None:
@@ -881,20 +920,31 @@ class Simulation:
             if wait is not None:
                 wait[0] += now - it.enqueue_ms
                 wait[1] += 1
+            if prefill:
+                req = it.req
+                service_ms += profile.prefill_latency(req.text_tokens, req.total_image_tokens, tp)
+            else:
+                tiles += it.tiles
+        if stage is _ENCODE:
+            service_ms = profile.encode_latency(tiles, tp)
+        elif not prefill:
+            service_ms = profile.preprocess_latency(tiles, inst.cpu_cores)
         lane.busy = True
-        self._push(now + self._service_ms(inst, batch), lane.free_event, (inst, lane, batch))
+        heapq.heappush(self.heap, (now + service_ms, lane.free_event, next(self._event_seqs),
+                                   (inst, lane, batch)))
 
     def _on_lane_free(self, data) -> None:
         inst, lane, batch = data
         lane.busy = False
         stage = batch[0].stage
-        end = _STAMPS[stage][1]
+        end = _STAGES[stage].end
         now = self.now
         for it in batch:
             req, rec = it.req, it.rec
             setattr(rec, end, now)
-            if stage is _PREPROCESS:
-                inst.gpu.queue.append(self._new_item(req, rec, _ENCODE, it.tiles))
+            if stage is _PREPROCESS:  # the shard's encode: its tiles and size, queued now
+                inst.gpu.queue.append(WorkItem(next(self._item_seqs), _ENCODE, it.size_tokens,
+                                               it.tiles, now, it.ttft_slo_ms, req, rec))
             elif stage is _ENCODE:
                 self._encode_item_done(inst, req, rec)
             else:
@@ -958,9 +1008,11 @@ class Simulation:
 
     def _decode_changed(self, inst: Instance, restart: bool) -> None:
         """A lane's queue, or if ``restart`` its batch, changed: reschedule it, re-sort its load."""
-        next_dt = inst.decode.restart() if restart else None
+        lane = inst.decode
+        next_dt = lane.restart() if restart else None
         if next_dt is not None:
-            self._push(self.now + next_dt, EV_DECODE_DONE, (inst.id, inst.decode.epoch))
+            heapq.heappush(self.heap, (self.now + next_dt, EV_DECODE_DONE, next(self._event_seqs),
+                                       (inst.id, lane.epoch)))
         if inst.pool == self.roles.decode and inst.state is _ACTIVE:
             inst.index.update(inst)
 

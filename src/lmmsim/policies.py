@@ -138,7 +138,8 @@ class LoadWindow:
 def split_by_tiles(tile_sizes: list[int], n_shards: int) -> list[list[int]]:
     """Greedy largest-first partition of image indices balanced by tile count."""
     n_shards = max(1, min(n_shards, len(tile_sizes)))
-    order = sorted(range(len(tile_sizes)), key=lambda i: (-tile_sizes[i], i))
+    # Largest first; a reversed sort keeps equal sizes in index order.
+    order = sorted(range(len(tile_sizes)), key=tile_sizes.__getitem__, reverse=True)
     if n_shards == len(tile_sizes):
         # Every image has at least one tile, so the greedy then gives each
         # image, largest first, the next empty shard.
@@ -146,7 +147,7 @@ def split_by_tiles(tile_sizes: list[int], n_shards: int) -> list[list[int]]:
     loads = [0] * n_shards
     shards: list[list[int]] = [[] for _ in range(n_shards)]
     for idx in order:
-        best = min(range(n_shards), key=lambda s: (loads[s], s))
+        best = min(range(n_shards), key=loads.__getitem__)  # the first least-loaded shard
         shards[best].append(idx)
         loads[best] += tile_sizes[idx]
     return [sorted(s) for s in shards if s]

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import heapq
 import io
 import math
 from collections import deque
@@ -8,29 +9,39 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MODELS, PROFILES, make_request, make_sim, make_slo
-from lmmsim import experiment
+from lmmsim import engine, experiment
 from lmmsim.core import Architecture, StageKind
 from lmmsim.engine import (
     CSV_FIELDS,
+    EV_ARRIVAL,
+    EV_CPU_FREE,
+    EV_DECODE_ARRIVAL,
+    EV_DECODE_DONE,
+    EV_GPU_FREE,
+    EV_INSTANCE_STARTED,
+    EV_SCALE_TICK,
+    EV_TRANSFER_DONE,
     DecodeLane,
     InstancePlan,
     InstanceState,
     MetricsLog,
     ServerSpec,
+    Simulation,
     SimulationError,
     TransferMedium,
     RequestRecord,
     WorkItem,
-    _STAMPS,
+    _STAGES,
     form_batch,
     sample_transfer_ms,
     weighted_quantile,
 )
 from lmmsim.policies import (
+    AutoscalerKind,
     PolicySet,
     RouterKind,
     ScalingDecision,
@@ -658,6 +669,190 @@ class TestStopWhenDecided:
             assert len(log.records) == log.arrived
 
 
+class _HeapArrivals(Simulation):
+    """The engine with every arrival pushed on the event heap, as one heap of
+    all events orders them: each arrival pushes the next as it is handled,
+    so the heap never holds two. Arrivals read beside the heap must
+    reproduce this run record for record."""
+
+    def _push_arrival(self, idx: int) -> None:
+        # Each arrival is pushed once, in order, however often it is asked for.
+        if (idx == self._arrivals_pushed and idx < len(self.workload)
+                and self.workload[idx].arrival_ms <= self.horizon_ms):
+            self._arrivals_pushed += 1
+            self._push(self.workload[idx].arrival_ms, EV_ARRIVAL, idx)
+
+    def _heap_arrival(self, idx: int) -> None:
+        self._push_arrival(idx + 1)
+        self._on_arrival(idx)
+
+    def run(self):
+        self._arrivals_pushed = 0
+        self._push_arrival(0)
+        if self.autoscaler is not None:
+            self._push(self.scale_interval_ms, EV_SCALE_TICK)
+        handlers = {
+            EV_INSTANCE_STARTED: self._on_instance_started,
+            EV_CPU_FREE: self._on_lane_free,
+            EV_GPU_FREE: self._on_lane_free,
+            EV_DECODE_DONE: self._on_decode_done,
+            EV_TRANSFER_DONE: self._on_transfer_done,
+            EV_DECODE_ARRIVAL: self._on_decode_arrival,
+            EV_ARRIVAL: self._heap_arrival,
+            EV_SCALE_TICK: self._on_scale_tick,
+        }
+        self._stop_ms = self.horizon_ms
+        reached_stop = False
+        while self.heap:
+            time_ms, kind, _seq, data = heapq.heappop(self.heap)
+            if time_ms > self._stop_ms:
+                reached_stop = True
+                break
+            self.now = time_ms
+            handlers[kind](data)
+            if self.validate:
+                self._check_invariants()
+        if not reached_stop and self.log.in_flight and self.log.stopped_ms is None:
+            raise SimulationError(self._deadlock_dump())
+        self.now = self.horizon_ms
+        self._allocation_changed()
+        return self.log
+
+
+# internvl-26b with every stage latency a multiple of 100 ms for the requests
+# of _grid_workload: one-tile images, prompts of 1,600 tokens per 100 ms,
+# decodes of a multiple of 4 steps at 25 ms whatever the batch.
+_GRID_PROFILE = dataclasses.replace(
+    PROFILES["internvl-26b"], prep_ms_per_tile_core=0.0, prep_floor_ms=100.0,
+    encode_ms_per_tile=dict.fromkeys((1, 2, 4, 8), 100.0),
+    prefill_ms_per_token=dict.fromkeys((1, 2, 4, 8), 1 / 16),
+    tbt_base_ms=dict.fromkeys((1, 2, 4, 8), 25.0), decode_batch_slope=0.0)
+
+
+def _grid_workload(n: int, model: str = "internvl-26b"):
+    """Two arrivals per 100 ms grid point, each prompt a multiple of 1,600 tokens."""
+    reqs = []
+    for i in range(n):
+        images = i % 4
+        reqs.append(make_request(i, 100.0 * (i // 2), text=1600 * (1 + i % 3) - 256 * images,
+                                 n_images=images, px=448, out=1 + 4 * (i % 5), model=model))
+    return reqs
+
+
+def _arrival_pair(workload, profile=_GRID_PROFILE, horizon_ms=12_000.0, **options):
+    """The engine and the heap-arrival oracle on one scenario."""
+    kwargs = dict(model=MODELS["internvl-26b"], profile=profile, slo=make_slo(model="internvl-26b"),
+                  servers=[ServerSpec(0, 8, 16), ServerSpec(1, 8, 16)], workload=workload,
+                  horizon_ms=horizon_ms, seed=3, transfer_medium=TransferMedium.NONE,
+                  max_batch={"encode": 2, "prefill": 2, "decode": 4}, validate=True)
+    kwargs.update(options)
+    return Simulation(**kwargs), _HeapArrivals(**kwargs)
+
+
+def _outcome(sim):
+    log = sim.run()
+    names = [f.name for f in dataclasses.fields(RequestRecord)]
+    return ([tuple(getattr(r, n) for n in names) for r in log.records.values()],
+            log.allocation_log, log.scale_events, log.stopped_ms, log.arrived, log.completed)
+
+
+def _stamps(log):
+    """Every time a lane or a decode finished something."""
+    return {t for r in log.records.values()
+            for t in (r.prep_end_ms, r.encode_end_ms, r.prefill_end_ms, r.completion_ms)
+            if t is not None}
+
+
+_TOKEN_AWARE = PolicySet(autoscaler=AutoscalerKind.TOKEN_AWARE)
+
+
+class TestArrivalsBesideTheHeap:
+    def test_static_pools(self):
+        sim, oracle = _arrival_pair(
+            _grid_workload(160), policies=PolicySet(scheduler=SchedulerKind.FIFO),
+            instance_plan=[InstancePlan("text", 2, 2), InstancePlan("image", 1, 2)])
+        assert _outcome(sim) == _outcome(oracle)
+        arrivals = {r.arrival_ms for r in sim.log.records.values()}
+        assert arrivals & _stamps(sim.log), "no arrival ties with a completion"
+        assert sim.log.arrived == 160
+
+    def test_token_aware_with_short_ticks_and_start_delays(self):
+        # No image instance at first: image-bearing arrivals wait for one to start.
+        sim, oracle = _arrival_pair(
+            _grid_workload(200), policies=_TOKEN_AWARE, scale_interval_ms=1_000.0,
+            start_delay_ms=500.0,
+            instance_plan=[InstancePlan("text", 2, 1), InstancePlan("image", 1, 0)])
+        assert _outcome(sim) == _outcome(oracle)
+        arrivals = {r.arrival_ms for r in sim.log.records.values()}
+        ticks = {e["time_ms"] for e in sim.log.scale_events}
+        started = {t + 500.0 for t in ticks}
+        assert arrivals & ticks and arrivals & started and arrivals & _stamps(sim.log)
+        assert any(i.pool == "image" and i.state is InstanceState.ACTIVE for i in sim.instances.values())
+
+    def test_token_aware_pd_with_transfers(self):
+        # Calibrated latencies and sampled transfers: ties only at ticks and starts.
+        reqs = [make_request(i, 100.0 * (i // 2), text=200 * (1 + i % 3), n_images=i % 3, px=448,
+                             out=1 + 4 * (i % 5), model="internvl-26b") for i in range(200)]
+        sim, oracle = _arrival_pair(
+            reqs, profile=PROFILES["internvl-26b"], horizon_ms=20_000.0,
+            policies=PolicySet(autoscaler=AutoscalerKind.TOKEN_AWARE, topology=Topology.DECOUPLED_PD),
+            scale_interval_ms=1_000.0, start_delay_ms=500.0, transfer_medium=TransferMedium.RDMA,
+            instance_plan=[InstancePlan("prefill", 2, 1), InstancePlan("decode", 2, 1),
+                           InstancePlan("image", 1, 1)])
+        assert _outcome(sim) == _outcome(oracle)
+        assert sim.log.scale_events and sim.log.completed > 50
+
+    def test_stopped_run(self):
+        sims = _arrival_pair(_grid_workload(160), slo=make_slo(factor=0.5, model="internvl-26b"),
+                             policies=PolicySet(),
+                             instance_plan=[InstancePlan("text", 2, 1), InstancePlan("image", 1, 1)])
+        for s in sims:
+            s.stop_when_missed({"text-only": 3, "image-text": 3, "tbt": 3}, 1_000.0)
+        sim, oracle = sims
+        assert _outcome(sim) == _outcome(oracle)
+        assert sim.log.stopped_ms is not None and sim.log.arrived < 160
+
+
+class TestEventLayout:
+    """``bench/tracing.py`` counts events by swapping ``engine.heapq`` for a
+    stand-in and reading every item as ``(time, kind, seq, data)``, a
+    decode-done's data as ``(instance id, epoch)``."""
+
+    def test_heap_items(self, monkeypatch):
+        kinds = {getattr(engine, n) for n in dir(engine) if n.startswith("EV_")}
+        pushed, popped = [], []
+
+        class Recording:
+            @staticmethod
+            def heappush(heap, item):
+                pushed.append(item)
+                heapq.heappush(heap, item)
+
+            @staticmethod
+            def heappop(heap):
+                item = heapq.heappop(heap)
+                popped.append(item)
+                return item
+
+        monkeypatch.setattr(engine, "heapq", Recording)
+        sim, _ = _arrival_pair(
+            _grid_workload(120), profile=PROFILES["internvl-26b"], policies=_TOKEN_AWARE,
+            scale_interval_ms=1_000.0, start_delay_ms=500.0, transfer_medium=TransferMedium.RDMA,
+            instance_plan=[InstancePlan("text", 2, 1), InstancePlan("image", 1, 0)])
+        sim.run()
+        assert popped and len(popped) <= len(pushed)
+        for item in pushed:
+            time_ms, kind, seq, data = item
+            assert kind in kinds and isinstance(time_ms, float) and isinstance(seq, int), item
+            if kind == EV_DECODE_DONE:
+                inst_id, epoch = data
+                assert inst_id in sim.instances and isinstance(epoch, int), item
+                assert sim.instances[inst_id].decode.epoch >= epoch
+        seen = {kind for _, kind, _, _ in popped}
+        assert {EV_INSTANCE_STARTED, EV_CPU_FREE, EV_GPU_FREE, EV_DECODE_DONE, EV_TRANSFER_DONE,
+                EV_SCALE_TICK} <= seen
+
+
 def _watch_decode(sim) -> list[tuple[float, int, int]]:
     """Record the simulation's decode admissions as (time_ms, rid, steps), and
     fail once its EV_DECODE_DONE pops exceed twice the admissions so far.
@@ -832,8 +1027,8 @@ class TestSlottedRecords:
         # Lanes stamp records with setattr by these names; with slots a
         # misspelt one raises instead of adding an attribute.
         names = {f.name for f in dataclasses.fields(RequestRecord)}
-        for start, end in _STAMPS.values():
-            assert {start, end} <= names
+        for facts in _STAGES.values():
+            assert {facts.start, facts.end} <= names
         with pytest.raises(AttributeError):
             setattr(self._record(), "prep_strat_ms", 1.0)
 
@@ -852,11 +1047,17 @@ class TestSlottedRecords:
 
 
 def _walked_quantile(pairs, q):
-    """Reference: the cumulative walk over sorted pairs, one addition at a time."""
+    """Reference: the cumulative walk over sorted pairs, one addition at a time.
+
+    The total is the same left-to-right sum: under CPython 3.11 that is what
+    ``sum`` computes, and from 3.12 ``sum`` compensates its rounding.
+    """
     if not pairs:
         return 0.0
     ordered = sorted(pairs)
-    total = sum(w for _, w in ordered)
+    total = 0.0
+    for _, w in ordered:
+        total += w
     acc = 0.0
     for value, w in ordered:
         acc += w
@@ -865,12 +1066,30 @@ def _walked_quantile(pairs, q):
     return ordered[-1][0]
 
 
+# With q = 0.5, the first pair's weight is its prefix sum, and the rank
+# target is 0.5 * (w + 1.0) - 1e-12: these weights put the prefix at the
+# target, one ulp below it and one ulp above it (TestWeightedQuantile checks).
+_AT_TARGET = 0.999999999998
+_ULP_BELOW = 0.9999999999979998
+_ULP_ABOVE = 0.9999999999980003
+
+
+def _boundary(w):
+    return [(1.0, w), (2.0, 1.0)]
+
+
 class TestWeightedQuantile:
     def test_single_value(self):
         assert weighted_quantile([(5.0, 3.0)], 0.99) == 5.0
 
     @given(st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(1e-12, 1e6)), max_size=40),
            st.sampled_from([0.5, 0.9, 0.99]))
+    @example(_boundary(_AT_TARGET), 0.5)
+    @example(_boundary(_ULP_BELOW), 0.5)
+    @example(_boundary(_ULP_ABOVE), 0.5)
+    @example([(3.0, 2.0), (3.0, 0.5), (1.0, 1.0), (3.0, 1e-3)], 0.5)  # equal values, other weights
+    @example([(7.0, 0.25)], 0.99)  # a single pair
+    @example([(41.5, 1.0), (25.0, 96.0), (26.5, 3.25)], 0.99)  # an admit wait, weight 1.0
     @settings(max_examples=300, deadline=None)
     def test_equals_the_cumulative_walk(self, pairs, q):
         # TBT samples have positive weights; the answer must be bit-identical.
@@ -880,6 +1099,14 @@ class TestWeightedQuantile:
         pairs = [(1.0, 99.0), (100.0, 1.0)]
         assert weighted_quantile(pairs, 0.5) == 1.0
         assert weighted_quantile(pairs, 0.999) == 100.0
+
+    @pytest.mark.parametrize("w,ulps,answer", [(_AT_TARGET, 0, 1.0), (_ULP_BELOW, -1, 2.0),
+                                               (_ULP_ABOVE, 1, 1.0)])
+    def test_rank_boundary(self, w, ulps, answer):
+        target = 0.5 * (w + 1.0) - 1e-12
+        assert w - target == ulps * math.ulp(target)
+        # A prefix that reaches the target, however narrowly, takes the rank.
+        assert weighted_quantile(_boundary(w), 0.5) == answer
 
 
 def _reference_csv(log: MetricsLog) -> str:
