@@ -24,7 +24,12 @@ class StageKind(str, Enum):
 
 
 class SpecError(ValueError):
-    """Invalid model spec or request parameters."""
+    """Invalid model spec, input file or request parameters: ``reason`` says
+    what is wrong with the input key at the dotted path ``field``, if any."""
+
+    def __init__(self, reason: str, field: str = ""):
+        self.field, self.reason = field, reason
+        super().__init__(f"{field}: {reason}" if field else reason)
 
 
 @dataclass(frozen=True)
@@ -150,26 +155,28 @@ class SLOSpec:
 def read_fields(d, converters: dict, required: set[str], where: str = "") -> dict:
     """The keys of the JSON object ``d``, each passed through its converter.
 
-    A non-object, a missing ``required`` key, a key without a converter, or
-    a value its converter rejects raises a SpecError naming the key, which
-    ``where`` prefixes (e.g. ``"tp_scaling."``). So a misspelt key in an
+    A non-object, a key without a converter, a missing ``required`` key (an
+    unknown key, often the missing one misspelt, is named first), or a value
+    its converter rejects raises a SpecError whose ``field`` is the key with
+    the prefix ``where`` (e.g. ``"tp_scaling."``). So a misspelt key in an
     input file is never silently ignored.
     """
     if not isinstance(d, dict):
-        raise SpecError(f"{where.rstrip('.') or 'input'}: must be an object, got {d!r}")
+        raise SpecError(f"must be an object, got {d!r}", where.rstrip("."))
+    unknown = sorted(d.keys() - converters.keys())
+    if unknown:
+        raise SpecError(f"unknown key (expected one of {sorted(converters)})", where + unknown[0])
     missing = sorted(required - d.keys())
     if missing:
-        raise SpecError(f"{where}{missing[0]}: missing")
+        raise SpecError("missing", where + missing[0])
     out = {}
     for key, value in d.items():
-        if key not in converters:
-            raise SpecError(f"{where}{key}: unknown key (expected one of {sorted(converters)})")
         try:
             out[key] = converters[key](value)
         except SpecError:  # a nested object's error already names its key
             raise
         except (TypeError, ValueError) as e:
-            raise SpecError(f"{where}{key}: bad value {value!r} ({e})")
+            raise SpecError(f"bad value {value!r} ({e})", where + key)
     return out
 
 

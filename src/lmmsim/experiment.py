@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import count, islice
 from pathlib import Path
 
-from .core import ModelSpec, Request, SLOSpec, get_model_spec, load_model_specs
+from .core import ModelSpec, Request, SLOSpec, SpecError, exact, get_model_spec, load_model_specs, read_fields
 from .engine import (
     InstancePlan,
     MetricsLog,
@@ -51,7 +51,7 @@ from .policies import (
     select_sharding,
 )
 from .profiles import LatencyProfile, calibrate, load_calibration_targets
-from .workload import BurstEpisode, GeneratorConfig, GeneratorError, generate, load_trace, summarize
+from .workload import BurstEpisode, GeneratorConfig, generate, load_trace, summarize
 
 
 class ConfigError(ValueError):
@@ -60,92 +60,136 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field}': {message}")
 
 
-# The keys a config may use: at the top level, in each object section, and in
-# workload.generator. Any other key is rejected, so a misspelt one is never
-# silently ignored.
-_TOP_LEVEL_KEYS = {
-    "model", "profile", "topology", "policies", "cluster", "instances", "workload", "slo",
-    "transfer", "max_batch", "horizon_ms", "seeds", "warmup_fraction", "rate_multiplier",
-    "scale_interval_ms", "start_delay_ms", "capacity",
-}
-_SECTION_KEYS = {
-    "policies": {f.name for f in fields(PolicySet)} - {"topology"},
-    "slo": {"slo_factor", "ref_text_tokens", "ttft_base_text_ms", "ttft_base_image_ms",
-            "tbt_base_ms"},
-    "transfer": {"medium"},
-    "cluster": {"servers", "gpus_per_server", "cpu_cores_per_server"},
-    "capacity": {"lo_multiplier", "hi_multiplier", "rel_tol", "horizon_ms", "seeds"},
-}
-_GENERATOR_KEYS = {f.name for f in fields(GeneratorConfig)} - {"model"}
-_EPISODE_KEYS = {f.name for f in fields(BurstEpisode)}
-_INSTANCE_KEYS = {"count", "tp"}
-
-
-def _check_keys(obj, known: set[str], where: str) -> None:
-    """Reject a non-object or any key outside ``known``; ``where`` is the
-    field path prefix, e.g. ``"policies."``."""
-    if not isinstance(obj, dict):
-        raise ConfigError(where.rstrip("."), "must be an object")
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ConfigError(f"{where}{unknown[0]}", f"unknown key (expected one of {sorted(known)})")
-
-
-def _required(obj: dict, key: str, where: str = ""):
-    if key not in obj:
-        raise ConfigError(f"{where}{key}", "missing")
-    return obj[key]
-
-
-def _section(raw: dict, key: str, required: bool = False) -> dict:
-    """The object at ``key`` ({} when absent), with unknown keys rejected."""
-    s = _required(raw, key) if required else raw.get(key, {})
-    _check_keys(s, _SECTION_KEYS[key], f"{key}.")
-    return s
-
-
-def _value(value, field: str, kind=float):
-    """``value`` converted by ``kind`` (a number type or an Enum), or a
-    ConfigError naming ``field``."""
+@contextlib.contextmanager
+def _naming(where: str = ""):
+    """Re-raise a SpecError as a ConfigError naming its field, prefixed by ``where``."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        if issubclass(kind, Enum):
-            raise ConfigError(field, f"unknown value {value!r} (expected one of "
-                                     f"{[k.value for k in kind]})")
-        raise ConfigError(field, f"must be a number, got {value!r}")
+        yield
+    except SpecError as e:
+        raise ConfigError(where + e.field, e.reason) from None
 
 
-_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1)": lambda v: 0 <= v < 1}
+# ----------------------------------------------------------------------
+# Reading: each config object is read by ``core.read_fields`` with its
+# converter table below. A key outside its table is rejected, so a misspelt
+# one is never silently ignored; a converter rejects a value that cannot
+# mean what it says with a ValueError stating its rule.
+# ----------------------------------------------------------------------
+def _number(test=None, rule: str = ""):
+    """A JSON number (no string, no true/false) as a float that passes ``test``."""
+    def convert(value):
+        if type(value) not in (int, float) or test is not None and not test(value):
+            raise ValueError(f"must be a number{rule}")
+        return float(value)
+    return convert
 
 
-def _in_range(value, field: str, rule: str) -> float:
-    v = _value(value, field)
-    if not _RANGES[rule](v):
-        raise ConfigError(field, f"must be {rule}")
-    return v
+_REAL = _number()
+_POSITIVE = _number(lambda v: v > 0, " > 0")
+_NON_NEGATIVE = _number(lambda v: v >= 0, " >= 0")
+_FRACTION = _number(lambda v: 0 <= v < 1, " in [0, 1)")
 
 
-def _integer(value, field: str, least: int) -> int:
-    # JSON true/false are Python bools, which are ints; neither is a count or a seed.
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ConfigError(field, f"must be an integer >= {least}")
-    return value
+def _at_least(least: int):
+    """A JSON integer >= ``least``; true and false are no counts."""
+    def convert(value):
+        if type(value) is not int or value < least:
+            raise ValueError(f"must be an integer >= {least}")
+        return value
+    return convert
+
+
+def _member(kind: type[Enum]):
+    """A member of ``kind``, by its value."""
+    def convert(value):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValueError(f"expected one of {[k.value for k in kind]}") from None
+    return convert
+
+
+def _typed(cls, skip: set[str]) -> dict:
+    """A converter for each field of the dataclass ``cls`` outside ``skip``,
+    by its default's type: an Enum's member, an integer or a number."""
+    return {f.name: _member(type(f.default)) if isinstance(f.default, Enum)
+            else {int: exact(int), float: _REAL}[type(f.default)]
+            for f in fields(cls) if f.name not in skip}
+
+
+def _object(table: dict, where: str, required: set[str] = frozenset()):
+    """The converter of a nested object, whose keys ``table`` reads."""
+    return lambda value: read_fields(value, table, required, where)
+
+
+def _seeds(value) -> list[int]:
+    """A non-empty list of distinct seeds. Runs are deterministic, so a
+    repeated seed would only run the same simulation again (and write the
+    same files twice)."""
+    if not isinstance(value, list) or not value or any(type(s) is not int or s < 0 for s in value):
+        raise ValueError("must be a non-empty list of integers >= 0")
+    repeated = sorted({s for s in value if value.count(s) > 1})
+    if repeated:
+        raise ValueError(f"repeats seed(s) {repeated}; each seed runs once")
+    return list(value)
 
 
 def seed_list(value, field: str) -> list[int]:
-    """``value`` as a list of seeds, or a ConfigError naming ``field``.
+    """``value`` as a list of seeds, or a ConfigError naming ``field``."""
+    with _naming():
+        return read_fields({field: value}, {field: _seeds}, set())[field]
 
-    Runs are deterministic, so a repeated seed would only run the same
-    simulation again (and write the same files twice).
-    """
-    if not isinstance(value, list) or not value:
-        raise ConfigError(field, "must be a non-empty list of integers")
-    seeds = [_integer(s, field, 0) for s in value]
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        raise ConfigError(field, f"repeats seed(s) {repeated}; each seed runs once")
-    return seeds
+
+def _pools(value):
+    """``"auto"``, or each pool's entry read with ``_POOL``."""
+    if value == "auto":
+        return value
+    if not isinstance(value, dict):
+        raise ValueError("must be 'auto' or a pool mapping")
+    return {pool: read_fields(entry, _POOL, set(_POOL), f"instances.{pool}.")
+            for pool, entry in value.items()}
+
+
+def _episodes(episodes) -> tuple[BurstEpisode, ...]:
+    return tuple(BurstEpisode(**read_fields(e, _EPISODE, {"start_ms", "duration_ms"},
+                                            f"workload.generator.burst_episodes[{i}]."))
+                 for i, e in enumerate(episodes))
+
+
+def _image_shares(shares) -> dict[int, float]:
+    """images_per_request: the share of each image count, 1 to 16."""
+    where = "workload.generator.images_per_request."
+    return {int(n): share for n, share in read_fields(shares, _IMAGE_COUNTS, set(), where).items()}
+
+
+_MODEL = {"spec_path": exact(str), "name": exact(str)}
+_POOL = {"count": _at_least(0), "tp": _at_least(1)}
+_POLICIES = {**_typed(PolicySet, {"topology"}), "max_fanout": _at_least(1), "capacity_tail_factor": _POSITIVE}
+_CLUSTER = {"servers": _at_least(1), "gpus_per_server": _at_least(1), "cpu_cores_per_server": _at_least(1)}
+_SLO = {"slo_factor": _POSITIVE, "ref_text_tokens": _at_least(1), "ttft_base_text_ms": _POSITIVE,
+        "ttft_base_image_ms": _POSITIVE, "tbt_base_ms": _POSITIVE}
+_TRANSFER = {"medium": _member(TransferMedium)}
+_MAX_BATCH = dict.fromkeys(DEFAULT_MAX_BATCH, _at_least(1))
+_CAPACITY = {"lo_multiplier": _POSITIVE, "hi_multiplier": _POSITIVE, "rel_tol": _POSITIVE,
+             "horizon_ms": _POSITIVE, "seeds": _seeds}
+_EPISODE = {"start_ms": _REAL, "duration_ms": _POSITIVE, "rate_multiplier": _POSITIVE,
+            "image_multiplier": _POSITIVE}
+_IMAGE_COUNTS = {str(n): _REAL for n in range(1, 17)}
+_GENERATOR = {**_typed(GeneratorConfig, {"model", "burst_episodes", "images_per_request"}),
+              "burst_episodes": _episodes, "images_per_request": _image_shares}
+_WORKLOAD = {"trace": exact(str), "generator": _object(_GENERATOR, "workload.generator.")}
+_CONFIG = {
+    "model": lambda m: (read_fields(m, _MODEL, set(_MODEL), "model.") if isinstance(m, dict)
+                        else exact(str)(m)),
+    "profile": exact(str), "topology": _member(Topology), "instances": _pools,
+    "policies": _object(_POLICIES, "policies."), "slo": _object(_SLO, "slo."),
+    "cluster": _object(_CLUSTER, "cluster.", {"servers", "gpus_per_server"}),
+    "workload": _object(_WORKLOAD, "workload."), "transfer": _object(_TRANSFER, "transfer."),
+    "max_batch": _object(_MAX_BATCH, "max_batch."), "capacity": _object(_CAPACITY, "capacity."),
+    "horizon_ms": _POSITIVE, "seeds": _seeds, "warmup_fraction": _FRACTION, "rate_multiplier": _POSITIVE,
+    "scale_interval_ms": _POSITIVE, "start_delay_ms": _NON_NEGATIVE,
+}
+_CONFIG_REQUIRED = {"model", "topology", "cluster", "instances", "workload", "horizon_ms"}
 
 
 @dataclass
@@ -264,55 +308,66 @@ def config_with(cfg: ExperimentConfig, path: str, value) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> Experiment:
     """Resolve and check every value of a config, so errors surface before any run.
 
-    Reads no trace and generates no workload.
+    Reads every object with its converter table, then resolves the keys
+    that mean something only together with others (``model``, ``profile``,
+    ``instances`` and ``workload``). Reads no trace and generates no workload.
     """
-    raw, base_dir = cfg.raw, cfg.base_dir
-    _check_keys(raw, _TOP_LEVEL_KEYS, "")
-    topology = _value(_required(raw, "topology"), "topology", Topology)
-    model = _model(_required(raw, "model"), base_dir)
-    profile = _profile(raw.get("profile", "auto"), model, base_dir)
-    seeds = seed_list(raw.get("seeds", [1]), "seeds")
-    horizon_ms = _in_range(_required(raw, "horizon_ms"), "horizon_ms", "> 0")
-    servers = _servers(_section(raw, "cluster", required=True))
+    base_dir = cfg.base_dir
+    with _naming():
+        c = read_fields(cfg.raw, _CONFIG, _CONFIG_REQUIRED)
+    model = _model(c["model"], base_dir)
+    profile = _profile(c.get("profile", "auto"), model, base_dir)
+    cluster, slo, capacity = c["cluster"], c.get("slo", {}), c.get("capacity", {})
+    gpus = cluster["gpus_per_server"]
+    bases = {"ttft_base_text_ms": profile.ttft_base_text_ms(slo.get("ref_text_tokens", 2048)),
+             "ttft_base_image_ms": profile.ttft_base_image_ms(), "tbt_base_ms": profile.tbt_base()}
+    lo, hi = capacity.get("lo_multiplier", 0.25), capacity.get("hi_multiplier", 2.0)
+    if lo >= hi:
+        raise ConfigError("capacity.hi_multiplier", f"must be > capacity.lo_multiplier ({lo})")
+    # The Simulation keywords the config sets; the engine's defaults fill the rest.
+    engine_options = {key: c[key] for key in ("scale_interval_ms", "start_delay_ms", "max_batch") if key in c}
+    if "medium" in c.get("transfer", {}):
+        engine_options["transfer_medium"] = c["transfer"]["medium"]
+    seeds, horizon_ms = c.get("seeds", [1]), c["horizon_ms"]
     return Experiment(
         model=model,
         profile=profile,
-        slo=_slo(_section(raw, "slo"), profile),
-        policies=_policies(_section(raw, "policies"), topology),
-        servers=servers,
-        engine_options=_engine_options(raw),
+        slo=SLOSpec(**{key: slo.get(key, base) for key, base in bases.items()},
+                    slo_factor=slo.get("slo_factor", 5.0)),
+        policies=PolicySet(topology=c["topology"], **c.get("policies", {})),
+        servers=[ServerSpec(i, gpus, cluster.get("cpu_cores_per_server", 2 * gpus))
+                 for i in range(cluster["servers"])],
+        engine_options=engine_options,
         seeds=seeds,
         horizon_ms=horizon_ms,
-        warmup_fraction=_in_range(raw.get("warmup_fraction", WARMUP_FRACTION),
-                                  "warmup_fraction", "in [0, 1)"),
-        rate_multiplier=_in_range(raw.get("rate_multiplier", 1.0), "rate_multiplier", "> 0"),
-        capacity=_capacity(_section(raw, "capacity"), horizon_ms, seeds),
-        source=_source(_required(raw, "workload"), model, base_dir),
-        instance_plan=_instance_plan(_required(raw, "instances"), topology, profile, servers[0].gpus),
+        warmup_fraction=c.get("warmup_fraction", WARMUP_FRACTION),
+        rate_multiplier=c.get("rate_multiplier", 1.0),
+        capacity=(lo, hi, capacity.get("rel_tol", REL_TOL), capacity.get("horizon_ms", horizon_ms),
+                  capacity.get("seeds", seeds)),
+        source=_source(c["workload"], model, base_dir),
+        instance_plan=_instance_plan(c["instances"], c["topology"], profile, gpus),
     )
 
 
-def _model(m, base_dir: Path) -> ModelSpec:
+def _model(m: str | dict, base_dir: Path) -> ModelSpec:
     if isinstance(m, dict):
-        _check_keys(m, {"spec_path", "name"}, "model.")
-        path = base_dir / _required(m, "spec_path", "model.")
+        path = base_dir / m["spec_path"]
         if not path.is_file():
             raise ConfigError("model.spec_path", f"file not found: {path}")
         try:
             specs = load_model_specs(path)
         except ValueError as e:  # SpecError, or the file is not JSON
             raise ConfigError("model.spec_path", str(e))
-        name = m.get("name")
-        if name is None or name not in specs:
+        if m["name"] not in specs:
             raise ConfigError("model.name", f"not in {sorted(specs)}")
-        return specs[name]
+        return specs[m["name"]]
     try:
         return get_model_spec(m)
-    except Exception as e:
+    except SpecError as e:
         raise ConfigError("model", str(e))
 
 
-def _profile(p, model: ModelSpec, base_dir: Path) -> LatencyProfile:
+def _profile(p: str, model: ModelSpec, base_dir: Path) -> LatencyProfile:
     if p == "auto":
         return calibrate(load_calibration_targets(model.name), model)
     path = base_dir / p
@@ -324,115 +379,24 @@ def _profile(p, model: ModelSpec, base_dir: Path) -> LatencyProfile:
         raise ConfigError("profile", str(e))
 
 
-def _slo(s: dict, profile: LatencyProfile) -> SLOSpec:
-    ref_text = _integer(s.get("ref_text_tokens", 2048), "slo.ref_text_tokens", 1)
-    derived = {
-        "ttft_base_text_ms": profile.ttft_base_text_ms(ref_text),
-        "ttft_base_image_ms": profile.ttft_base_image_ms(),
-        "tbt_base_ms": profile.tbt_base(),
-    }
-    return SLOSpec(
-        **{key: _in_range(s.get(key, base), f"slo.{key}", "> 0") for key, base in derived.items()},
-        slo_factor=_in_range(s.get("slo_factor", 5.0), "slo.slo_factor", "> 0"),
-    )
-
-
-def _policies(p: dict, topology: Topology) -> PolicySet:
-    """PolicySet's defaults, overridden by the config's values converted to
-    each field's type."""
-    kinds = {f.name: type(f.default) for f in fields(PolicySet)}
-    policies = PolicySet(topology=topology,
-                         **{k: _value(v, f"policies.{k}", kinds[k]) for k, v in p.items()})
-    if policies.max_fanout < 1:
-        raise ConfigError("policies.max_fanout", "must be >= 1")
-    return policies
-
-
-def _servers(c: dict) -> list[ServerSpec]:
-    n = _integer(_required(c, "servers", "cluster."), "cluster.servers", 1)
-    gpus = _integer(_required(c, "gpus_per_server", "cluster."), "cluster.gpus_per_server", 1)
-    cores = _integer(c.get("cpu_cores_per_server", 2 * gpus), "cluster.cpu_cores_per_server", 1)
-    return [ServerSpec(i, gpus, cores) for i in range(n)]
-
-
-def _engine_options(raw: dict) -> dict:
-    """The ``Simulation`` keywords the config sets; the engine's defaults fill the rest."""
-    options = {}
-    for key, rule in (("scale_interval_ms", "> 0"), ("start_delay_ms", ">= 0")):
-        if key in raw:
-            options[key] = _in_range(raw[key], key, rule)
-    transfer = _section(raw, "transfer")
-    if "medium" in transfer:
-        options["transfer_medium"] = _value(transfer["medium"], "transfer.medium", TransferMedium)
-    if "max_batch" in raw:
-        caps = raw["max_batch"]
-        _check_keys(caps, set(DEFAULT_MAX_BATCH), "max_batch.")
-        options["max_batch"] = {stage: _integer(cap, f"max_batch.{stage}", 1)
-                                for stage, cap in caps.items()}
-    return options
-
-
-def _capacity(cap: dict, horizon_ms: float, seeds: list[int]) -> tuple:
-    """The capacity search's (lo, hi, rel_tol, horizon_ms, seeds)."""
-    lo = _in_range(cap.get("lo_multiplier", 0.25), "capacity.lo_multiplier", "> 0")
-    hi = _in_range(cap.get("hi_multiplier", 2.0), "capacity.hi_multiplier", "> 0")
-    if lo >= hi:
-        raise ConfigError("capacity.hi_multiplier", f"must be > capacity.lo_multiplier ({lo})")
-    return (
-        lo,
-        hi,
-        _in_range(cap.get("rel_tol", REL_TOL), "capacity.rel_tol", "> 0"),
-        _in_range(cap.get("horizon_ms", horizon_ms), "capacity.horizon_ms", "> 0"),
-        seed_list(cap.get("seeds", seeds), "capacity.seeds"),
-    )
-
-
-def _source(w, model: ModelSpec, base_dir: Path) -> Path | GeneratorConfig:
-    _check_keys(w, {"trace", "generator"}, "workload.")
+def _source(w: dict, model: ModelSpec, base_dir: Path) -> Path | GeneratorConfig:
+    if ("trace" in w) == ("generator" in w):
+        raise ConfigError("workload", "needs exactly one of 'trace' and 'generator'")
     if "trace" in w:
         path = base_dir / w["trace"]
         if not path.exists():
             raise ConfigError("workload.trace", f"file not found: {path}")
         return path
-    if "generator" in w:
-        return _generator(w["generator"], model)
-    raise ConfigError("workload", "needs either 'trace' or 'generator'")
+    gen = GeneratorConfig(model=model, **w["generator"])
+    with _naming("workload.generator."):
+        gen.validate()
+    return gen
 
 
-def _generator(g, model: ModelSpec) -> GeneratorConfig:
-    _check_keys(g, _GENERATOR_KEYS, "workload.generator.")
-    episodes = []
-    for i, e in enumerate(g.get("burst_episodes", [])):
-        where = f"workload.generator.burst_episodes[{i}]"
-        _check_keys(e, _EPISODE_KEYS, f"{where}.")
-        if "start_ms" not in e or "duration_ms" not in e:
-            raise ConfigError(where, "needs start_ms and duration_ms")
-        episodes.append(BurstEpisode(**{k: _value(v, f"{where}.{k}") for k, v in e.items()}))
-    kwargs = {k: v for k, v in g.items() if k not in ("burst_episodes", "images_per_request")}
-    # Any integer: a negative one plus a run seed can still seed a run.
-    if "seed" in g and (not isinstance(g["seed"], int) or isinstance(g["seed"], bool)):
-        raise ConfigError("workload.generator.seed", f"must be an integer, got {g['seed']!r}")
-    if "images_per_request" in g:
-        where = "workload.generator.images_per_request"
-        shares = g["images_per_request"]
-        if not isinstance(shares, dict):
-            raise ConfigError(where, "must be an object")
-        kwargs["images_per_request"] = {_value(k, f"{where}.{k}", int): _value(v, f"{where}.{k}")
-                                        for k, v in shares.items()}
-    try:
-        cfg = GeneratorConfig(model=model, burst_episodes=tuple(episodes), **kwargs)
-        cfg.validate()
-    except GeneratorError as e:
-        raise ConfigError(f"workload.generator.{e.key}", e.rule)
-    except (TypeError, ValueError) as e:
-        raise ConfigError("workload.generator", str(e))
-    return cfg
-
-
-def _instance_plan(inst, topology: Topology, profile: LatencyProfile,
+def _instance_plan(pools: str | dict, topology: Topology, profile: LatencyProfile,
                    gpus_per_server: int) -> list[InstancePlan] | None:
     """The configured pools, or None for "auto" (see ``Experiment.instances``)."""
-    if inst == "auto":
+    if pools == "auto":
         if topology is not Topology.DECOUPLED:
             raise ConfigError("instances", "auto sizing supports the decoupled topology only")
         # A text instance can always take TP 1; the image pool needs an encoder TP.
@@ -442,36 +406,33 @@ def _instance_plan(inst, topology: Topology, profile: LatencyProfile,
                                            f"cluster.gpus_per_server ({gpus_per_server}); "
                                            f"the encoder supports {encoder_tps}")
         return None
-    if not isinstance(inst, dict):
-        raise ConfigError("instances", "must be 'auto' or a pool mapping")
-    topo_pools = POOL_ROLES[topology].pools
-    encoder_pool = POOL_ROLES[topology].image_entry
+    roles = POOL_ROLES[topology]
     plan = []
-    for pool, entry in inst.items():
-        if pool not in topo_pools:
+    for pool, entry in pools.items():
+        if pool not in roles.pools:
             raise ConfigError(
                 "instances", f"pool '{pool}' invalid for topology {topology.value} "
-                f"(expected {sorted(topo_pools)})"
+                f"(expected {sorted(roles.pools)})"
             )
-        where = f"instances.{pool}."
-        _check_keys(entry, _INSTANCE_KEYS, where)
         # Every request passes through the pools that run LLM work, so each
         # needs an instance; the image pool may start empty.
-        least = 1 if is_text_family(pool) else 0
-        plan.append(InstancePlan(pool, _tp(_required(entry, "tp", where), pool, pool == encoder_pool,
-                                           profile, gpus_per_server),
-                                 _integer(_required(entry, "count", where), f"{where}count", least)))
-    missing = topo_pools - {p.pool for p in plan}
+        if is_text_family(pool) and entry["count"] < 1:
+            raise ConfigError(f"instances.{pool}.count", "must be >= 1 in a pool that runs the LLM")
+        tp = _tp(entry["tp"], pool, pool == roles.image_entry, profile, gpus_per_server)
+        plan.append(InstancePlan(pool, tp, entry["count"]))
+    missing = roles.pools - {p.pool for p in plan}
     if missing:
         raise ConfigError("instances", f"missing pools for topology: {sorted(missing)}")
-    return plan
+    # The engine places and scales pools in plan order, so the plan takes
+    # one order, whatever the order of the keys of ``instances``.
+    order = [roles.text, roles.decode, roles.image_entry]
+    return sorted(plan, key=lambda p: order.index(p.pool))
 
 
-def _tp(value, pool: str, runs_encoder: bool, profile: LatencyProfile, gpus_per_server: int) -> int:
+def _tp(tp: int, pool: str, runs_encoder: bool, profile: LatencyProfile, gpus_per_server: int) -> int:
     """A pool's TP degree: one server's GPUs hold an instance, the profile
     prices that degree, and the encoder supports it if the pool runs it."""
     field = f"instances.{pool}.tp"
-    tp = _integer(value, field, 1)
     if tp > gpus_per_server:
         raise ConfigError(field, f"TP {tp} exceeds cluster.gpus_per_server ({gpus_per_server})")
     lo, hi = profile.tp_range()

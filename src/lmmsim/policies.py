@@ -13,7 +13,7 @@ from enum import Enum
 from operator import attrgetter
 
 from .core import Architecture, ModelSpec, SLOSpec, StageKind
-from .profiles import LatencyProfile, _interp_tp, batch_aware_capacity_tokens_per_s
+from .profiles import LatencyProfile, batch_aware_capacity_tokens_per_s
 from .workload import WorkloadSummary
 
 
@@ -268,9 +268,9 @@ class TokenAwareAutoscaler:
         if pool == roles.text and roles.colocated_encoder:
             # Encode and prefill share the instance's GPU: the monolith job.
             service, job = p.monolith_job(tp)
-            table = p.prefill_ms_per_token or p.prefill_self_ms_per_token
-            text_service = slo.ttft_base_text_ms * _interp_tp(table, tp) / _interp_tp(
-                table, p.model.default_tp_text)
+            # A one-token text prompt prices exactly the prefill rate at a TP.
+            text_service = slo.ttft_base_text_ms * p.prefill_latency(1, 0, tp) / p.prefill_latency(
+                1, 0, p.model.default_tp_text)
             slack = min(slo.ttft_slo_ms(True) - service, slo.ttft_slo_ms(False) - text_service)
             cap = self.max_batch["prefill"]
         else:

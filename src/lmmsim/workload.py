@@ -15,20 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ImageSpec, ModelSpec, Request
+from .core import ImageSpec, ModelSpec, Request, SpecError
 
 
 class TraceError(ValueError):
     """Unreadable or badly malformed trace file."""
-
-
-class GeneratorError(ValueError):
-    """A generator setting out of range; ``key`` names the setting."""
-
-    def __init__(self, key: str, rule: str):
-        self.key = key
-        self.rule = rule
-        super().__init__(f"{key} {rule}")
 
 
 TRACE_COLUMNS = ["arrival_ms", "service_id", "text_tokens", "num_images", "image_dims", "output_tokens"]
@@ -165,31 +156,31 @@ class GeneratorConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Raise GeneratorError naming the first setting that cannot generate a valid stream."""
+        """Raise a SpecError whose ``field`` is the first setting that cannot generate a valid stream."""
         if self.base_rate <= 0:
-            raise GeneratorError("base_rate", "must be > 0")
+            raise SpecError("must be > 0", "base_rate")
         if not 0.0 <= self.image_request_fraction <= 1.0:
-            raise GeneratorError("image_request_fraction", "must be in [0, 1]")
+            raise SpecError("must be in [0, 1]", "image_request_fraction")
         for key in ("text_len_alpha", "image_req_len_alpha"):
             if getattr(self, key) <= 1:
-                raise GeneratorError(key, "must be > 1 (a power-law exponent)")
+                raise SpecError("must be > 1 (a power-law exponent)", key)
         total = sum(self.images_per_request.values())
         if abs(total - 1.0) > 1e-6:
-            raise GeneratorError("images_per_request", f"probabilities sum to {total}, expected 1")
+            raise SpecError(f"probabilities sum to {total}, expected 1", "images_per_request")
         if any(k < 1 or k > 16 for k in self.images_per_request):
-            raise GeneratorError("images_per_request", "keys must be in 1..16")
+            raise SpecError("keys must be in 1..16", "images_per_request")
         # Each prompt needs a token and each request an output token, and an
         # image a pixel per side; a min above its max would be clamped away.
         for lo, hi in (("text_len_min", "text_len_max"), ("image_req_len_min", "image_req_len_max"),
                        ("image_dim_min_px", "image_dim_max_px")):
             for key in (lo, hi):
                 if getattr(self, key) < 1:
-                    raise GeneratorError(key, f"must be >= 1, got {getattr(self, key)}")
+                    raise SpecError(f"must be >= 1, got {getattr(self, key)}", key)
             low, high = getattr(self, lo), getattr(self, hi)
             if low > high:
-                raise GeneratorError(lo, f"must be <= {hi} ({high}), got {low}")
+                raise SpecError(f"must be <= {hi} ({high}), got {low}", lo)
         if self.output_len_max < 1:
-            raise GeneratorError("output_len_max", f"must be >= 1, got {self.output_len_max}")
+            raise SpecError(f"must be >= 1, got {self.output_len_max}", "output_len_max")
 
 
 def sample_power_law(rng: np.random.Generator, alpha: float, lo: int, hi: int):

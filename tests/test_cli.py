@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import multiprocessing
 import re
@@ -23,6 +24,7 @@ from lmmsim.experiment import (
     config_with,
     load_config,
     run_capacity,
+    run_experiment,
     validate_config,
 )
 from lmmsim.metrics import miss_budget
@@ -188,6 +190,41 @@ class TestSimulate:
          "workload.generator.image_dim_min_px"),
         ({"workload": {"generator": {"image_dim_max_px": 0}}}, "workload.generator.image_dim_max_px"),
         ({"workload": {"generator": {"output_len_max": 0}}}, "workload.generator.output_len_max"),
+        # A number must be a JSON number of its field's type: no string, no
+        # true/false, and no fraction where the field counts.
+        ({"policies": {"max_fanout": 2.5}}, "policies.max_fanout"),
+        ({"policies": {"max_fanout": True}}, "policies.max_fanout"),
+        ({"slo": {"slo_factor": "8"}}, "slo.slo_factor"),
+        ({"horizon_ms": "30000"}, "horizon_ms"),
+        ({"slo": {"slo_factor": True}}, "slo.slo_factor"),
+        ({"policies": {"aging_slo_fraction": True}}, "policies.aging_slo_fraction"),
+        ({"workload": {"generator": {"base_rate": True}}}, "workload.generator.base_rate"),
+        ({"workload": {"generator": {"base_rate": 2.0, "burst_episodes": [
+            {"start_ms": "120000", "duration_ms": 1000}]}}},
+         "workload.generator.burst_episodes[0].start_ms"),
+        ({"workload": {"generator": {"text_len_min": 256.5}}}, "workload.generator.text_len_min"),
+        ({"workload": {"generator": {"image_dim_min_px": 64.5}}}, "workload.generator.image_dim_min_px"),
+        ({"workload": {"generator": {"output_len_median": 96.5}}}, "workload.generator.output_len_median"),
+        # A generator value of the wrong type names its key, not only its section.
+        ({"workload": {"generator": {"base_rate": "x"}}}, "workload.generator.base_rate"),
+        # A value that would be clamped or ignored: a tail factor of 0 or
+        # less prices as 1e-9, and a generator next to a trace never ran.
+        ({"policies": {"capacity_tail_factor": 0}}, "policies.capacity_tail_factor"),
+        ({"policies": {"capacity_tail_factor": -1.0}}, "policies.capacity_tail_factor"),
+        ({"workload": {"generator": {"base_rate": 2.0}, "trace": "demo.csv"}}, "'workload'"),
+        # A burst that would stop arrivals, reverse time (generating without
+        # end) or end before it starts.
+        ({"workload": {"generator": {"burst_episodes": [
+            {"start_ms": 1000, "duration_ms": 5000, "rate_multiplier": 0}]}}},
+         "workload.generator.burst_episodes[0].rate_multiplier"),
+        ({"workload": {"generator": {"burst_episodes": [
+            {"start_ms": 1000, "duration_ms": 5000, "rate_multiplier": -2.0}]}}},
+         "workload.generator.burst_episodes[0].rate_multiplier"),
+        ({"workload": {"generator": {"burst_episodes": [{"start_ms": 1000, "duration_ms": -5000}]}}},
+         "workload.generator.burst_episodes[0].duration_ms"),
+        ({"workload": {"generator": {"burst_episodes": [
+            {"start_ms": 1000, "duration_ms": 5000, "image_multiplier": 0}]}}},
+         "workload.generator.burst_episodes[0].image_multiplier"),
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)
@@ -248,6 +285,38 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seeds"]["1"]["arrived"] == 40
+
+
+class TestPoolOrder:
+    """The order of the keys of ``instances`` means nothing: permuting them
+    leaves every simulate output byte-identical, apart from the config that
+    summary.json echoes."""
+
+    _AUTOSCALED = {"policies": {"autoscaler": "token_aware", "placement": "spread"},
+                   "scale_interval_ms": 10_000, "start_delay_ms": 2_000}
+
+    @pytest.mark.parametrize("topology, pools, overrides", [
+        ("monolith", {"monolith": (8, 4)}, {}),  # one pool: one order
+        ("decoupled", {"text": (7, 4), "image": (4, 1)}, {}),
+        ("decoupled_pd", {"prefill": (3, 4), "decode": (3, 4), "image": (4, 1)}, {}),
+        # Autoscaling from an empty image pool, placed with spread.
+        ("decoupled_pd", {"prefill": (2, 4), "decode": (2, 4), "image": (0, 1)}, _AUTOSCALED),
+        ("monolith_pd", {"prefill": (2, 4), "decode": (2, 4)},
+         {**_AUTOSCALED, "policies": {"autoscaler": "token_aware"}}),
+    ])
+    def test_pool_order_leaves_outputs_unchanged(self, tmp_path, topology, pools, overrides):
+        raw = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+        raw.update(topology=topology, horizon_ms=120_000, seeds=[1], **overrides)
+        outputs = []
+        for i, order in enumerate(itertools.permutations(pools)):
+            raw["instances"] = {pool: {"count": pools[pool][0], "tp": pools[pool][1]} for pool in order}
+            out = tmp_path / str(i)
+            summary = run_experiment(config_from_dict(raw), out)
+            del summary["config"]
+            outputs.append((summary, {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                                      if p.name != "summary.json"}))
+        assert summary["aggregate"]["completed_total"] > 0
+        assert all(output == outputs[0] for output in outputs[1:])
 
 
 def _write_trace(path, n):
@@ -704,9 +773,13 @@ def test_every_config_key_is_documented():
     # A key a config may set is named in README.md after a backtick, bare
     # or with its section (e.g. `policies.router`).
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    keys = [("", k) for k in experiment._TOP_LEVEL_KEYS]
-    keys += [(f"{section}.", k) for section in ("policies", "slo", "transfer", "cluster", "capacity")
-             for k in experiment._SECTION_KEYS[section]]
-    undocumented = sorted(prefix + k for prefix, k in keys
+    tables = [("", experiment._CONFIG), ("model.", experiment._MODEL),
+              ("policies.", experiment._POLICIES), ("cluster.", experiment._CLUSTER),
+              ("slo.", experiment._SLO), ("transfer.", experiment._TRANSFER),
+              ("max_batch.", experiment._MAX_BATCH), ("capacity.", experiment._CAPACITY),
+              ("workload.", experiment._WORKLOAD), ("workload.generator.", experiment._GENERATOR),
+              ("workload.generator.burst_episodes[i].", experiment._EPISODE),
+              ("instances.<pool>.", experiment._POOL)]
+    undocumented = sorted(prefix + k for prefix, table in tables for k in table
                           if not re.search(rf"`({re.escape(prefix)})?{re.escape(k)}\b", readme))
     assert not undocumented
