@@ -592,7 +592,7 @@ class Simulation:
         self.rr_state: dict[str, int] = {}
         self.shards_pending: dict[int, int] = {}
         self.log = MetricsLog(horizon_ms, seed)
-        self._miss_budget: dict[str, int] | None = None  # see stop_when_missed
+        self.tally: tuple[list[int], ...] | None = None  # see stop_when_missed
         self._pool_tp = {entry.pool: entry.tp for entry in instance_plan}
         # Decode step times by batch size, one list per TP (see DecodeLane).
         self._steps_ms = {entry.tp: [None] * (self.max_batch["decode"] + 1) for entry in instance_plan}
@@ -697,20 +697,20 @@ class Simulation:
         ``decided()`` is true.
 
         The groups are "text-only" and "image-text" (TTFT over its SLO) and
-        "tbt" (TBT P99 over its SLO). Misses are counted as requests that
-        arrived at or after ``after_ms`` complete; ``decided`` is polled at
-        every completion. The run ends at the next event and its log's
-        ``stopped_ms`` says when; the partial log means nothing beyond the
-        reason it stopped.
+        "tbt" (TBT P99 over its SLO). ``tally`` holds each group's
+        [completions, misses, budget] in that order, counted as requests that
+        arrived at or after ``after_ms`` complete; "tbt" counts only those
+        with TBT samples. ``decided`` is polled at every completion. The run
+        ends at the next event and its log's ``stopped_ms`` says when; the
+        partial log means nothing beyond the reason it stopped.
         """
-        self._miss_budget = dict(budgets)
-        self._misses = dict.fromkeys(budgets, 0)
+        self.tally = tuple([0, 0, budgets[group]] for group in ("text-only", "image-text", "tbt"))
         self._miss_after_ms = after_ms
         self._decided = decided
 
-    def _missed(self, group: str) -> None:
-        self._misses[group] += 1
-        if self._misses[group] > self._miss_budget[group]:
+    def _missed(self, counts: list[int]) -> None:
+        counts[1] += 1
+        if counts[1] > counts[2]:
             self._stop()
 
     def _stop(self) -> None:
@@ -1025,12 +1025,17 @@ class Simulation:
             rec.tbt_p99_ms = tbt_p99 = weighted_quantile(tbt, 0.99)
             tbt_ok = tbt_p99 <= rec.tbt_slo_ms
         rec.slo_ok = ok = ttft_ok and tbt_ok
-        if self._miss_budget is not None:
+        if (tally := self.tally) is not None:
             if rec.arrival_ms >= self._miss_after_ms:
+                counts = tally[rec.multimodal]
+                counts[0] += 1
                 if not ttft_ok:
-                    self._missed(rec.modality)
-                if not tbt_ok:
-                    self._missed("tbt")
+                    self._missed(counts)
+                if tbt:
+                    counts = tally[2]
+                    counts[0] += 1
+                    if not tbt_ok:
+                        self._missed(counts)
             if self._decided is not None and self._decided():
                 self._stop()
         self.log.completed += 1

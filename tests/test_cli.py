@@ -27,8 +27,19 @@ from lmmsim.experiment import (
     run_experiment,
     validate_config,
 )
-from lmmsim.metrics import miss_budget
+from lmmsim.metrics import miss_budget, summarize_latency
 from lmmsim.profiles import default_profile
+
+def p99_verdict(exp, log) -> bool:
+    """A full run's capacity verdict from its nearest-rank P99s: some request
+    completed after the warm-up, and each group's P99 meets its SLO."""
+    latency = summarize_latency(log, exp.warmup_fraction)
+    checks = [(latency.ttft[group], exp.slo.ttft_slo_ms(multimodal))
+              for group, multimodal in (("text-only", False), ("image-text", True))]
+    checks.append((latency.tbt["overall"], exp.slo.tbt_slo_ms))
+    return (latency.ttft["overall"].count > 0
+            and all(stats.p99 <= limit for stats, limit in checks if stats.count))
+
 
 BASE_CONFIG = {
     "model": "internvl-26b",
@@ -422,11 +433,37 @@ class TestCapacity:
                "slo": {"slo_factor": slo_factor}}
         exp = validate_config(config_from_dict(raw))
         early = _capacity_probe_worker(exp, seed, rate_multiplier, 20_000, 1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Simulation, "stop_when_missed", lambda *_: None)
-            full = _capacity_probe_worker(exp, seed, rate_multiplier, 20_000, 1)
-        assert "stopped_ms" not in full
-        assert early["ok"] == full["ok"]
+        full = build_simulation(exp, seed, rate_multiplier, 20_000).run()
+        assert early["ok"] == p99_verdict(exp, full)
+
+    def test_tally_counts_the_post_warmup_records(self):
+        # Half the outputs are one token, so many requests have no TBT
+        # samples; the warm-up's first 6 s complete requests too. The TBT
+        # SLO (33.6 ms) sits inside the spread of the TBT P99s.
+        raw = {**BASE_CONFIG, "slo": {"slo_factor": 8.0, "tbt_base_ms": 4.2},
+               "workload": {"generator": {"base_rate": 2.0, "image_request_fraction": 0.3,
+                                          "output_len_median": 2, "seed": 0}}}
+        exp = validate_config(config_from_dict(raw))
+        cutoff = exp.warmup_fraction * 60_000
+        sim = build_simulation(exp, 1, 1.0, 60_000, validate=True)
+        groups = ("text-only", "image-text", "tbt")
+        budgets = dict(zip(groups, (10**6, 10**6 + 1, 10**6 + 2)))
+        sim.stop_when_missed(budgets, cutoff)
+        log = sim.run()
+        assert log.stopped_ms is None
+        done = log.completed_records()
+        kept = [r for r in done if r.arrival_ms >= cutoff]
+        by_group = {"text-only": [(r.ttft_ms, r.ttft_slo_ms) for r in kept if not r.multimodal],
+                    "image-text": [(r.ttft_ms, r.ttft_slo_ms) for r in kept if r.multimodal],
+                    "tbt": [(r.tbt_p99_ms, r.tbt_slo_ms) for r in kept if r.tbt_p99_ms is not None]}
+        assert sim.tally == tuple([len(by_group[g]), sum(v > slo for v, slo in by_group[g]), budgets[g]]
+                                  for g in groups)
+        # Each part of the rule is exercised: warm-up completions left out,
+        # completions without TBT samples, and misses and hits in each group.
+        assert len(kept) < len(done)
+        assert len(by_group["tbt"]) < len(kept)
+        for n, misses, _ in sim.tally:
+            assert 0 < misses < n
 
     def test_stops_at_the_miss_over_budget(self):
         # 60 s at 4 req/s under a tight SLO: every group misses many times.
