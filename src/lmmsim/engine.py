@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelSpec, Request, SLOSpec, StageKind
+from .core import Request, SLOSpec, StageKind
 from .profiles import LatencyProfile
 from . import policies as pol
 from .policies import (
@@ -536,7 +536,6 @@ _NO_ARRIVAL = (math.inf, EV_ARRIVAL)  # the arrival key once the workload is spe
 class Simulation:
     def __init__(
         self,
-        model: ModelSpec,
         profile: LatencyProfile,
         slo: SLOSpec,
         policies: PolicySet,
@@ -551,7 +550,7 @@ class Simulation:
         start_delay_ms: float = 60_000.0,
         validate: bool = False,
     ):
-        self.model = model
+        self.model = profile.model
         self.profile = profile
         self.slo = slo
         # The SLO targets, indexed by Request.is_multimodal for TTFT.
@@ -597,7 +596,7 @@ class Simulation:
         # Decode step times by batch size, one list per TP (see DecodeLane).
         self._steps_ms = {entry.tp: [None] * (self.max_batch["decode"] + 1) for entry in instance_plan}
         # One load index per routed pool, keyed by the load its router uses.
-        routed = {self.roles.text: pol.load_key("text", model.architecture)}
+        routed = {self.roles.text: pol.load_key("text", self.model.architecture)}
         if not self.roles.colocated_encoder:
             routed[self.roles.image_entry] = pol.load_key("image")
         if self.roles.decode is not None:

@@ -172,8 +172,7 @@ _TRANSFER = {"medium": _member(TransferMedium)}
 _MAX_BATCH = dict.fromkeys(DEFAULT_MAX_BATCH, _at_least(1))
 _CAPACITY = {"lo_multiplier": _POSITIVE, "hi_multiplier": _POSITIVE, "rel_tol": _POSITIVE,
              "horizon_ms": _POSITIVE, "seeds": _seeds}
-_EPISODE = {"start_ms": _REAL, "duration_ms": _POSITIVE, "rate_multiplier": _POSITIVE,
-            "image_multiplier": _POSITIVE}
+_EPISODE = dict.fromkeys(("start_ms", "duration_ms", "rate_multiplier", "image_multiplier"), _REAL)
 _IMAGE_COUNTS = {str(n): _REAL for n in range(1, 17)}
 _GENERATOR = {**_typed(GeneratorConfig, {"model", "burst_episodes", "images_per_request"}),
               "burst_episodes": _episodes, "images_per_request": _image_shares}
@@ -209,8 +208,7 @@ class Experiment:
     config sets.
     """
 
-    model: ModelSpec
-    profile: LatencyProfile
+    profile: LatencyProfile  # for the config's model, which is ``profile.model``
     slo: SLOSpec
     policies: PolicySet
     servers: list[ServerSpec]
@@ -228,7 +226,7 @@ class Experiment:
             gen = self.source
             return generate(replace(gen, seed=gen.seed + seed,
                                     base_rate=gen.base_rate * rate_multiplier), horizon_ms)
-        requests = _trace_requests(self.source, self.model)
+        requests = _trace_requests(self.source, self.profile.model)
         if rate_multiplier != 1.0:
             requests = [replace(r, arrival_ms=r.arrival_ms / rate_multiplier) for r in requests]
         return [r for r in requests if r.arrival_ms <= horizon_ms]
@@ -238,8 +236,8 @@ class Experiment:
         if self.instance_plan is not None:
             return self.instance_plan
         gpus = self.servers[0].gpus
-        image_tp, _ = select_sharding("image", self.model, self.profile, self.slo, gpus)
-        text_tp, _ = select_sharding("text", self.model, self.profile, self.slo, gpus)
+        image_tp, _ = select_sharding("image", self.profile, self.slo, gpus)
+        text_tp, _ = select_sharding("text", self.profile, self.slo, gpus)
         workload = self.workload(seed, self.rate_multiplier, self.horizon_ms) if workload is None else workload
         targets = initial_sizing(summarize(workload), self.profile, image_tp)
         return [InstancePlan("image", image_tp, targets["image"]),
@@ -330,7 +328,6 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
         engine_options["transfer_medium"] = c["transfer"]["medium"]
     seeds, horizon_ms = c.get("seeds", [1]), c["horizon_ms"]
     return Experiment(
-        model=model,
         profile=profile,
         slo=SLOSpec(**{key: slo.get(key, base) for key, base in bases.items()},
                     slo_factor=slo.get("slo_factor", 5.0)),
@@ -455,7 +452,6 @@ def build_simulation(exp: Experiment, seed: int, rate_multiplier: float | None =
     workload = exp.workload(seed, mult, horizon)
     at_config_rate = (mult, horizon) == (exp.rate_multiplier, exp.horizon_ms)
     return Simulation(
-        model=exp.model,
         profile=exp.profile,
         slo=exp.slo,
         policies=exp.policies,
@@ -501,11 +497,10 @@ def _simulate_worker(exp: Experiment, seed: int, out_dir: str | None) -> dict:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         log.to_csv(out / f"requests_seed{seed}.csv")
-        gpus_by_window = dict(cost.timeline)
         rows = ["seed,window_start_ms,gpus,completed,attainment,p99_ttft_ms,vacuous"]
         window_dicts = []
-        for w in windows:
-            gpus = gpus_by_window.get(w.start_ms, cost.timeline[-1][1] if cost.timeline else 0)
+        # Both grids are the ceil(horizon / 60 s) windows from 0.
+        for w, (_, gpus) in zip(windows, cost.timeline, strict=True):
             rows.append(
                 f"{seed},{w.start_ms:.0f},{gpus},{w.completed},{w.attainment:.6f},"
                 f"{w.p99_ttft_ms:.3f},{int(w.vacuous)}"
@@ -679,7 +674,7 @@ def _offered_rate(exp: Experiment) -> float:
     """Baseline request rate of the configured workload, req/s."""
     if isinstance(exp.source, GeneratorConfig):
         return exp.source.base_rate
-    requests = _trace_requests(exp.source, exp.model)
+    requests = _trace_requests(exp.source, exp.profile.model)
     if not requests:
         return 0.0
     span = max(r.arrival_ms for r in requests) / 1000.0

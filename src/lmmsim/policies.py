@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 
-from .core import Architecture, ModelSpec, SLOSpec, StageKind
+from .core import Architecture, SLOSpec, StageKind
 from .profiles import LatencyProfile, batch_aware_capacity_tokens_per_s
 from .workload import WorkloadSummary
 
@@ -351,8 +351,7 @@ def initial_sizing(summary: WorkloadSummary, profile: LatencyProfile, image_tp: 
     return {"image": n_image, "text": n_text}
 
 
-def select_sharding(kind: str, model: ModelSpec, profile: LatencyProfile, slo: SLOSpec,
-                    max_tp: int) -> tuple[int, bool]:
+def select_sharding(kind: str, profile: LatencyProfile, slo: SLOSpec, max_tp: int) -> tuple[int, bool]:
     """TP degree maximizing per-GPU capacity among SLO-feasible choices of
     at most ``max_tp`` (the GPUs of one server, which holds an instance).
 
@@ -361,7 +360,7 @@ def select_sharding(kind: str, model: ModelSpec, profile: LatencyProfile, slo: S
     """
     if kind == "image":
         stage = StageKind.ENCODE
-        candidates = sorted(model.supported_tp_encoder)
+        candidates = sorted(profile.model.supported_tp_encoder)
     else:
         stage = StageKind.PREFILL
         candidates = [1, 2, 4, 8]

@@ -41,7 +41,6 @@ def make_sim(workload, model="llama3.2-11b", topology=Topology.DECOUPLED,
     elif policies.topology is not topology:
         policies = PolicySet(**{**policies.__dict__, "topology": topology})
     return Simulation(
-        model=MODELS[model],
         profile=PROFILES[model],
         slo=make_slo(model=model),
         policies=policies,

@@ -145,7 +145,7 @@ def test_criterion_1_calibration_fidelity():
         # CPU allocation at its default TP.
         cores = profile.ref_cpu_cores * 8 // model.default_tp_text
         sim = Simulation(
-            model=model, profile=profile, slo=slo,
+            profile=profile, slo=slo,
             policies=PolicySet(topology=Topology.MONOLITH,
                                router=RouterKind.ROUND_ROBIN,
                                scheduler=SchedulerKind.FIFO),
@@ -184,7 +184,7 @@ def test_criterion_2_mixed_modality_curve():
         req = Request(id=0, arrival_ms=0.0, text_tokens=text_tokens,
                       images=images, output_tokens=1)
         sim = Simulation(
-            model=model, profile=profile, slo=slo,
+            profile=profile, slo=slo,
             policies=PolicySet(topology=Topology.MONOLITH,
                                router=RouterKind.ROUND_ROBIN,
                                scheduler=SchedulerKind.FIFO),
@@ -536,7 +536,7 @@ def test_criterion_9_property_suites():
     spans = {}
     for n, plan in plans.items():
         sim = Simulation(
-            model=MODELS["llama3.2-11b"], profile=PROFILES["llama3.2-11b"],
+            profile=PROFILES["llama3.2-11b"],
             slo=make_slo(), policies=PolicySet(topology=Topology.DECOUPLED, max_fanout=4),
             servers=[ServerSpec(0, 8, 16)], instance_plan=plan,
             workload=[req16], horizon_ms=600_000.0, seed=1,

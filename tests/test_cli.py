@@ -236,6 +236,14 @@ class TestSimulate:
         ({"workload": {"generator": {"burst_episodes": [
             {"start_ms": 1000, "duration_ms": 5000, "image_multiplier": 0}]}}},
          "workload.generator.burst_episodes[0].image_multiplier"),
+        # A median of 0 clamps every image to its minimum width and every
+        # output to one token; a negative share makes the others sum past 1.
+        ({"workload": {"generator": {"image_dim_median_px": 0}}}, "workload.generator.image_dim_median_px"),
+        ({"workload": {"generator": {"output_len_median": 0}}}, "workload.generator.output_len_median"),
+        ({"workload": {"generator": {"images_per_request": {"1": -0.5, "2": 1.5}}}},
+         "workload.generator.images_per_request.1"),
+        ({"workload": {"generator": {"images_per_request": {"1": 1.5, "2": -0.5}}}},
+         "workload.generator.images_per_request.2"),
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)

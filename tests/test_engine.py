@@ -741,7 +741,7 @@ def _grid_workload(n: int, model: str = "internvl-26b"):
 
 def _arrival_pair(workload, profile=_GRID_PROFILE, horizon_ms=12_000.0, **options):
     """The engine and the heap-arrival oracle on one scenario."""
-    kwargs = dict(model=MODELS["internvl-26b"], profile=profile, slo=make_slo(model="internvl-26b"),
+    kwargs = dict(profile=profile, slo=make_slo(model="internvl-26b"),
                   servers=[ServerSpec(0, 8, 16), ServerSpec(1, 8, 16)], workload=workload,
                   horizon_ms=horizon_ms, seed=3, transfer_medium=TransferMedium.NONE,
                   max_batch={"encode": 2, "prefill": 2, "decode": 4}, validate=True)

@@ -350,47 +350,43 @@ class TestInitialSizing:
 
 class TestSelectSharding:
     def test_small_encoder_never_tp8(self):
-        model = MODELS["llama3.2-11b"]
         profile = PROFILES["llama3.2-11b"]
         for factor in (2.0, 4.0, 8.0, 16.0):
-            tp, feasible = select_sharding("image", model, profile, make_slo(factor=factor), 8)
+            tp, feasible = select_sharding("image", profile, make_slo(factor=factor), 8)
             assert tp <= 4
 
     def test_big_encoder_tp4_over_tp8_when_both_feasible(self):
         # At a latency budget where only TP-4 and TP-8 qualify, two TP-4
         # encoders beat one TP-8 encoder on throughput per GPU.
-        model = MODELS["nvlm-d-72b"]
         profile = PROFILES["nvlm-d-72b"]
-        tp, feasible = select_sharding("image", model, profile,
+        tp, feasible = select_sharding("image", profile,
                                        make_slo(factor=2.0, model="nvlm-d-72b"), 8)
         assert feasible
         assert tp == 4
 
     def test_big_encoder_very_loose_slo_prefers_tp1(self):
-        model = MODELS["nvlm-d-72b"]
         profile = PROFILES["nvlm-d-72b"]
-        tp, feasible = select_sharding("image", model, profile,
+        tp, feasible = select_sharding("image", profile,
                                        make_slo(factor=16.0, model="nvlm-d-72b"), 8)
         assert feasible and tp == 1
 
     def test_single_supported_tp(self):
         from dataclasses import replace
         model = replace(MODELS["internvl-26b"], supported_tp_encoder=(2,))
-        profile = PROFILES["internvl-26b"]
-        tp, _ = select_sharding("image", model, profile, make_slo(model="internvl-26b"), 8)
+        profile = replace(PROFILES["internvl-26b"], model=model)
+        tp, _ = select_sharding("image", profile, make_slo(model="internvl-26b"), 8)
         assert tp == 2
 
     def test_at_most_one_servers_gpus(self):
-        model, profile = MODELS["llama3.2-90b"], PROFILES["llama3.2-90b"]
+        profile = PROFILES["llama3.2-90b"]
         slo = make_slo(model="llama3.2-90b")
-        assert [select_sharding("text", model, profile, slo, gpus) for gpus in (1, 2, 4, 8)] == [
+        assert [select_sharding("text", profile, slo, gpus) for gpus in (1, 2, 4, 8)] == [
             (1, False), (2, True), (4, True), (8, True)]
 
     def test_infeasible_flags_largest(self):
-        model = MODELS["internvl-26b"]
         profile = PROFILES["internvl-26b"]
         slo = make_slo(factor=0.05, model="internvl-26b")
-        tp, feasible = select_sharding("image", model, profile, slo, 8)
+        tp, feasible = select_sharding("image", profile, slo, 8)
         assert not feasible
         assert tp == 8
 

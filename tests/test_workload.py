@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmmsim import workload
-from lmmsim.core import ImageSpec, Request, get_model_spec
+from lmmsim.core import ImageSpec, Request, SpecError, get_model_spec
 from lmmsim.workload import (
     TRACE_COLUMNS,
     BurstEpisode,
@@ -285,6 +285,27 @@ class TestGenerator:
         cfg = GeneratorConfig(model=INTERNVL, images_per_request={1: 0.5})
         with pytest.raises(ValueError):
             generate(cfg, 1000)
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"burst_episodes": (BurstEpisode(1_000, 5_000, rate_multiplier=-2.0),)},
+         "burst_episodes[0].rate_multiplier"),
+        ({"burst_episodes": (BurstEpisode(1_000, 5_000, rate_multiplier=0.0),)},
+         "burst_episodes[0].rate_multiplier"),
+        ({"burst_episodes": (BurstEpisode(0, 1_000), BurstEpisode(2_000, 0.0))},
+         "burst_episodes[1].duration_ms"),
+        ({"burst_episodes": (BurstEpisode(1_000, 5_000, image_multiplier=-1.0),)},
+         "burst_episodes[0].image_multiplier"),
+        ({"image_dim_median_px": 0.0}, "image_dim_median_px"),
+        ({"output_len_median": 0}, "output_len_median"),
+        ({"base_rate": float("nan")}, "base_rate"),
+        ({"images_per_request": {1: -0.5, 2: 1.5}}, "images_per_request.1"),
+        ({"images_per_request": {1: 1.5, 2: -0.5}}, "images_per_request.2"),
+    ])
+    def test_meaningless_value_fails_validate(self, changes, field):
+        # validate() alone: generate() would not end on a negative rate multiplier.
+        with pytest.raises(SpecError) as raised:
+            GeneratorConfig(model=INTERNVL, **changes).validate()
+        assert raised.value.field == field
 
     def test_image_prompt_tail_exponent(self):
         # Image-text totals above the image-token atoms follow the configured
