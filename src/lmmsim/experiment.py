@@ -12,6 +12,7 @@ import contextlib
 import copy
 import csv
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -76,10 +77,12 @@ def _naming(where: str = ""):
 # mean what it says with a ValueError stating its rule.
 # ----------------------------------------------------------------------
 def _number(test=None, rule: str = ""):
-    """A JSON number (no string, no true/false) as a float that passes ``test``."""
+    """A JSON number (no string, no true/false, and no NaN or Infinity, which
+    Python's json reads) as a float that passes ``test``."""
     def convert(value):
-        if type(value) not in (int, float) or test is not None and not test(value):
-            raise ValueError(f"must be a number{rule}")
+        if (type(value) not in (int, float) or not math.isfinite(value)
+                or test is not None and not test(value)):
+            raise ValueError(f"must be a finite number{rule}")
         return float(value)
     return convert
 

@@ -157,20 +157,21 @@ class GeneratorConfig:
 
     def validate(self) -> None:
         """Raise a SpecError whose ``field`` is the first setting that cannot generate a valid stream."""
-        # A rate, a burst's multiplier or length, or a median at or below 0
-        # (or NaN) would generate without end or clamp every draw to a bound.
+        # A rate, a burst's multiplier or length, or a median at or below 0,
+        # infinite or NaN would generate without end or clamp every draw to a
+        # bound.
         positive = [(key, getattr(self, key))
                     for key in ("base_rate", "image_dim_median_px", "output_len_median")]
         for i, ep in enumerate(self.burst_episodes):
             positive += [(f"burst_episodes[{i}].{key}", getattr(ep, key))
                          for key in ("duration_ms", "rate_multiplier", "image_multiplier")]
         for key, value in positive:
-            if not value > 0:
-                raise SpecError("must be > 0", key)
+            if not 0 < value < math.inf:
+                raise SpecError("must be finite and > 0", key)
         if not 0.0 <= self.image_request_fraction <= 1.0:
             raise SpecError("must be in [0, 1]", "image_request_fraction")
         for key in ("text_len_alpha", "image_req_len_alpha"):
-            if getattr(self, key) <= 1:
+            if not getattr(self, key) > 1:
                 raise SpecError("must be > 1 (a power-law exponent)", key)
         for n, share in self.images_per_request.items():
             if not share >= 0:

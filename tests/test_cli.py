@@ -30,6 +30,7 @@ from lmmsim.experiment import (
 from lmmsim.metrics import miss_budget, summarize_latency
 from lmmsim.profiles import default_profile
 
+
 def p99_verdict(exp, log) -> bool:
     """A full run's capacity verdict from its nearest-rank P99s: some request
     completed after the warm-up, and each group's P99 meets its SLO."""
@@ -244,6 +245,15 @@ class TestSimulate:
          "workload.generator.images_per_request.1"),
         ({"workload": {"generator": {"images_per_request": {"1": 1.5, "2": -0.5}}}},
          "workload.generator.images_per_request.2"),
+        # NaN and Infinity, which Python's json reads, are no JSON numbers. A
+        # NaN or infinite rate, or a NaN burst start, would generate without
+        # end, and a NaN exponent fails the run (exit 1) at its first draw.
+        ({"workload": {"generator": {"base_rate": float("nan")}}}, "workload.generator.base_rate"),
+        ({"workload": {"generator": {"base_rate": float("inf")}}}, "workload.generator.base_rate"),
+        ({"workload": {"generator": {"text_len_alpha": float("nan")}}}, "workload.generator.text_len_alpha"),
+        ({"workload": {"generator": {"burst_episodes": [{"start_ms": float("nan"), "duration_ms": 5000}]}}},
+         "workload.generator.burst_episodes[0].start_ms"),
+        ({"horizon_ms": float("inf")}, "horizon_ms"),
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)

@@ -298,6 +298,7 @@ class TestGenerator:
         ({"image_dim_median_px": 0.0}, "image_dim_median_px"),
         ({"output_len_median": 0}, "output_len_median"),
         ({"base_rate": float("nan")}, "base_rate"),
+        ({"base_rate": float("inf")}, "base_rate"),
         ({"images_per_request": {1: -0.5, 2: 1.5}}, "images_per_request.1"),
         ({"images_per_request": {1: 1.5, 2: -0.5}}, "images_per_request.2"),
     ])
