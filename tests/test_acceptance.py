@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import MODELS, PROFILES, make_request, make_slo
+from conftest import PROFILES, make_request, make_slo
 from lmmsim.core import ImageSpec, Request, SLOSpec, StageKind, get_model_spec
 from lmmsim.engine import InstancePlan, LoadIndex, ServerSpec, Simulation, TransferMedium
 from lmmsim.experiment import build_simulation, config_from_dict, run_capacity, validate_config
