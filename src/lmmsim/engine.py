@@ -145,24 +145,33 @@ class DecodeLane:
     ``touched[step_ms]`` is the ``tick`` of that entry's last advance, in
     last-advanced order, so a completion reads only the entries advanced
     since its request joined; every other entry gained it exactly 0.
+    ``peak_ticks`` and ``peak_sizes`` are the suffix maxima of the batch
+    sizes advanced at: ticks rising, sizes falling, and ``peak_sizes[i]`` is
+    the largest batch size of any advance from ``peak_ticks[i]`` on. Their
+    first entry, tick 0 and size ``cap + 1``, precedes every advance.
 
     ``steps_ms[n]`` is the step time at batch size ``n`` and TP ``tp``, or
     None until a lane of that TP first runs ``n`` members; the lanes of one
-    TP share the list and fill it from ``tbt_latency(n, tp)``.
+    TP share the list and fill it from ``tbt_latency(n, tp)``. Step times do
+    not fall as the batch grows (``decode_batch_slope >= 0``), which the
+    top-down read of ``_p99`` relies on.
     """
 
     __slots__ = ("members", "heap", "served", "touched", "tick", "progress", "frac", "step_ms",
-                 "anchor_ms", "epoch", "admit_queue", "cap", "tp", "_steps_ms", "_tbt_latency")
+                 "size", "peak_ticks", "peak_sizes", "anchor_ms", "epoch", "admit_queue", "cap",
+                 "tp", "_steps_ms", "_tbt_latency")
 
     def __init__(self, cap: int, tp: int, steps_ms: list[float | None],
                  tbt_latency: Callable[[int, int], float]):
-        # rid -> (served at join, tick at join, its TBT samples)
-        self.members: dict[int, tuple[dict, int, list]] = {}
+        # rid -> (served at join, tick at join, admit wait or 0.0, decode steps)
+        self.members: dict[int, tuple[dict, int, float, int]] = {}
         self.heap: list[tuple[float, float, int]] = []  # (whole, fraction of finish, rid)
         self.served: dict[float, float] = {}  # a plain dict: it copies faster than a defaultdict
         self.touched: dict[float, int] = {}
+        self.peak_ticks: list[int] = [0]
+        self.peak_sizes: list[int] = [cap + 1]
         self.progress = self.frac = self.step_ms = self.anchor_ms = 0.0
-        self.epoch = self.tick = 0
+        self.epoch = self.tick = self.size = 0
         self.admit_queue: deque[tuple[int, float, int]] = deque()  # (rid, queued_ms, steps)
         self.cap = cap
         self.tp = tp
@@ -183,11 +192,17 @@ class DecodeLane:
             self.tick = tick = self.tick + 1
             touched.pop(step, None)
             touched[step] = tick
+            size, ticks, sizes = self.size, self.peak_ticks, self.peak_sizes
+            while sizes[-1] <= size:  # never the first entry, cap + 1
+                sizes.pop()
+                ticks.pop()
+            sizes.append(size)
+            ticks.append(tick)
         self.anchor_ms = now
 
     def _join(self, rid: int, steps: int, wait: float) -> None:
         _heappush(self.heap, (self.progress + steps, self.frac, rid))
-        self.members[rid] = (self.served.copy(), self.tick, [(wait, 1.0)] if wait > _EPS else [])
+        self.members[rid] = (self.served.copy(), self.tick, wait if wait > _EPS else 0.0, steps)
 
     def admit(self, rid: int, steps: int, now: float) -> bool:
         """Join the batch at ``now`` if it has room, else queue; True if it joined."""
@@ -198,25 +213,88 @@ class DecodeLane:
         self._join(rid, steps, 0.0)
         return True
 
-    def pop_finished(self, now: float) -> list[tuple[int, list]]:
-        """Advance to ``now``, pop the finished as (rid, TBT samples), refill from the queue."""
+    def pop_finished(self, now: float) -> list[tuple[int, float | None]]:
+        """Advance to ``now``, pop the finished as (rid, TBT P99 or None), refill from the queue."""
         self.advance(now)
-        heap, members, served, touched, done = self.heap, self.members, self.served, self.touched, []
+        heap, members, done = self.heap, self.members, []
         progress, frac = self.progress, self.frac
         # ``remaining`` inlined: the same float expression, against the clock just advanced.
         while heap and (heap[0][0] - progress) + (heap[0][1] - frac) <= _EPS:
             rid = _heappop(heap)[2]
-            joined, since, tbt = members.pop(rid)
-            for step, tick in reversed(touched.items()):
-                if tick <= since:
-                    break
-                if w := served[step] - joined.get(step, 0.0):
-                    tbt.append((step, w))
-            done.append((rid, tbt))
+            done.append((rid, self._p99(*members.pop(rid))))
         while self.admit_queue and len(self.members) < self.cap:
             rid, ready, steps = self.admit_queue.popleft()
             self._join(rid, steps, now - ready)
         return done
+
+    def _p99(self, joined: dict, since: int, wait: float, steps: int) -> float | None:
+        """``weighted_quantile(samples, 0.99)`` of a finished member, read from the top.
+
+        The samples are the admit wait (weight 1) and, per step time advanced
+        at since the join, the steps gained at it. Walking down the batch
+        sizes from the largest run since the join meets the step times in
+        falling order; the answer is the first value at which the weight
+        from the top exceeds 1 % of T, the member's decode steps plus 1 for
+        a wait. The weights' sum W is not exactly T, so the read decides
+        only on a running weight more than ``margin`` off that line, where
+        ``margin`` bounds how far the sorted walk's line and sums can lie
+        from this read's:
+          - 0.01 * |W - T|: a member finishes within _EPS = 1e-6 steps of
+            its count, or past it by a rounding of the event time, and the
+            weights carry the rounding of the lane's ``tick - since``
+            additions to ``served`` and of one subtraction per step time;
+          - the rounding of the sums, two in weighted_quantile and one here,
+            of at most ``size + 1`` terms each.
+        Each rounding errs by at most 2**-53 of a value below
+        ``progress + T + 1``, which the second term of ``margin`` covers;
+        its first, 2e-8, covers 0.01 * _EPS, an overshoot of up to 9.9e-7
+        steps and weighted_quantile's 1e-12. Otherwise, or if the weight
+        never clears the line, the full walk decides.
+        """
+        ticks = self.peak_ticks
+        i = bisect_right(ticks, since)
+        if i < len(ticks):
+            size = self.peak_sizes[i]
+            total = steps + 1.0 if wait else float(steps)
+            margin = 2e-8 + 4e-16 * (self.tick - since + size + 2) * (self.progress + total + 1.0)
+            line = 0.01 * total
+            low, high = line - margin, line + margin
+            table, served, touched = self._steps_ms, self.served, self.touched
+            above = last = 0.0
+            rank = wait  # the wait, until the walk passes its value
+            for n in range(size, 0, -1):
+                step = table[n]
+                if step is None or step == last:
+                    continue
+                last = step
+                if rank >= step:
+                    rank = 0.0
+                    above += 1.0
+                    if above > high:
+                        return wait
+                    if above >= low:
+                        break
+                if touched.get(step, 0) > since:
+                    above += served[step] - joined.get(step, 0.0)
+                    if above > high:
+                        return step
+                    if above >= low:
+                        break
+            else:
+                if rank and above + 1.0 > high:
+                    return wait
+        return self._full_walk(joined, since, wait)
+
+    def _full_walk(self, joined: dict, since: int, wait: float) -> float | None:
+        """``weighted_quantile`` over all of a finished member's TBT samples, None if it has none."""
+        tbt = [(wait, 1.0)] if wait else []
+        served = self.served
+        for step, tick in reversed(self.touched.items()):
+            if tick <= since:
+                break
+            if w := served[step] - joined.get(step, 0.0):
+                tbt.append((step, w))
+        return weighted_quantile(tbt, 0.99) if tbt else None
 
     def remaining(self, entry: tuple[float, float, int]) -> float:
         return (entry[0] - self.progress) + (entry[1] - self.frac)
@@ -230,7 +308,7 @@ class DecodeLane:
         step = self._steps_ms[n]
         if step is None:
             step = self._steps_ms[n] = self._tbt_latency(n, self.tp)
-        self.step_ms = step
+        self.step_ms, self.size = step, n
         whole, frac, _rid = self.heap[0]
         return max(((whole - self.progress) + (frac - self.frac)) * step, 0.0)  # ``remaining``, inlined
 
@@ -550,6 +628,9 @@ class Simulation:
         start_delay_ms: float = 60_000.0,
         validate: bool = False,
     ):
+        if not 0 <= profile.decode_batch_slope < math.inf:  # see DecodeLane._p99
+            raise SimulationError(f"decode_batch_slope must be finite and >= 0, "
+                                  f"got {profile.decode_batch_slope}")
         self.model = profile.model
         self.profile = profile
         self.slo = slo
@@ -999,8 +1080,8 @@ class Simulation:
         if epoch != inst.decode.epoch:
             return
         records = self.log.records
-        for rid, tbt in inst.decode.pop_finished(self.now):
-            self._complete(records[rid], tbt)
+        for rid, tbt_p99 in inst.decode.pop_finished(self.now):
+            self._complete(records[rid], tbt_p99)
         self._decode_changed(inst, restart=True)
         if inst.state is _DRAINING:
             self._maybe_stop_drained(inst)
@@ -1015,13 +1096,13 @@ class Simulation:
         if inst.pool == self.roles.decode and inst.state is _ACTIVE:
             inst.index.update(inst)
 
-    def _complete(self, rec: RequestRecord, tbt: list[tuple[float, float]] = ()) -> None:
+    def _complete(self, rec: RequestRecord, tbt_p99: float | None = None) -> None:
         rec.completion_ms = self.now
         ttft = rec.ttft_ms
         ttft_ok = ttft is not None and ttft <= rec.ttft_slo_ms
         tbt_ok = True  # a request without TBT samples meets the TBT SLO
-        if tbt:
-            rec.tbt_p99_ms = tbt_p99 = weighted_quantile(tbt, 0.99)
+        if tbt_p99 is not None:
+            rec.tbt_p99_ms = tbt_p99
             tbt_ok = tbt_p99 <= rec.tbt_slo_ms
         rec.slo_ok = ok = ttft_ok and tbt_ok
         if (tally := self.tally) is not None:
@@ -1030,7 +1111,7 @@ class Simulation:
                 counts[0] += 1
                 if not ttft_ok:
                     self._missed(counts)
-                if tbt:
+                if tbt_p99 is not None:
                     counts = tally[2]
                     counts[0] += 1
                     if not tbt_ok:
@@ -1146,6 +1227,12 @@ class Simulation:
             assert lane.touched.keys() == lane.served.keys(), f"{inst}: touched != served"
             assert all(a < b for a, b in zip(ticks, ticks[1:])) and max(ticks, default=0) <= lane.tick, \
                 f"{inst}: decode ticks out of order"
+            ticks, sizes = lane.peak_ticks, lane.peak_sizes
+            assert len(ticks) == len(sizes) <= cap + 1 and (ticks[0], sizes[0]) == (0, cap + 1) \
+                and sizes[-1] >= 1, f"{inst}: decode peaks {list(zip(ticks, sizes))}"
+            assert all(a < b for a, b in zip(ticks, ticks[1:])) and ticks[-1] <= lane.tick, \
+                f"{inst}: decode peak ticks out of order"
+            assert all(a > b for a, b in zip(sizes, sizes[1:])), f"{inst}: decode peak sizes not falling"
         views = self._server_views()
         for v in views:
             assert v.gpus_free >= 0, f"server {v.server_id} oversubscribed: {v.gpus_total - v.gpus_free}/{v.gpus_total}"

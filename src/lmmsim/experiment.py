@@ -80,8 +80,12 @@ def _number(test=None, rule: str = ""):
     """A JSON number (no string, no true/false, and no NaN or Infinity, which
     Python's json reads) as a float that passes ``test``."""
     def convert(value):
-        if (type(value) not in (int, float) or not math.isfinite(value)
-                or test is not None and not test(value)):
+        try:
+            ok = (type(value) in (int, float) and math.isfinite(value)
+                  and (test is None or test(value)))
+        except OverflowError:  # an integer too large for a float
+            ok = False
+        if not ok:
             raise ValueError(f"must be a finite number{rule}")
         return float(value)
     return convert

@@ -90,6 +90,8 @@ class CalibrationTargets:
                 raise CalibrationError(f"ttft_breakdown[{stage.value}] must be > 0")
         if self.ref_ttft_ms <= 0:
             raise CalibrationError("ref_ttft_ms must be > 0")
+        if not 0 <= self.decode_batch_slope < math.inf:
+            raise CalibrationError("decode_batch_slope must be finite and >= 0")
         if architecture is Architecture.CRO_ATTN:
             if self.mixed_modality_gain is None:
                 raise CalibrationError("cross-attention models need mixed_modality_gain")
@@ -488,6 +490,15 @@ def _pixels(v) -> tuple[int, int]:
     return width, height
 
 
+def _slope(v) -> float:
+    # Decode step times must not fall as the batch grows: the engine reads
+    # a TBT P99 from the largest step time down. A NaN slope deadlocks a run.
+    v = float(v)
+    if not 0 <= v < math.inf:
+        raise ValueError("must be finite and >= 0")
+    return v
+
+
 def _per_stage(stages: tuple[str, ...], convert, where: str):
     """The converter of an object whose keys are exactly ``stages``."""
     return lambda m: read_fields(m, dict.fromkeys(stages, convert), set(stages), where)
@@ -502,7 +513,7 @@ _SHARED_FIELDS = {
     "ref_image_px": _pixels,
     "ref_cpu_cores": exact(int),
     "ref_ttft_ms": float,
-    "decode_batch_slope": float,
+    "decode_batch_slope": _slope,
     "cross_weight": float,
 }
 # A saved profile holds every key.

@@ -168,6 +168,15 @@ class GeneratorConfig:
         for key, value in positive:
             if not 0 < value < math.inf:
                 raise SpecError("must be finite and > 0", key)
+        # A NaN start never ends its rate segment. A lognormal's sigma is a
+        # standard deviation: NaN fails its draws and infinity pins each draw
+        # to a bound.
+        for i, ep in enumerate(self.burst_episodes):
+            if not math.isfinite(ep.start_ms):
+                raise SpecError("must be finite", f"burst_episodes[{i}].start_ms")
+        for key in ("image_dim_sigma", "output_len_sigma"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise SpecError("must be finite and >= 0", key)
         if not 0.0 <= self.image_request_fraction <= 1.0:
             raise SpecError("must be in [0, 1]", "image_request_fraction")
         for key in ("text_len_alpha", "image_req_len_alpha"):

@@ -254,6 +254,7 @@ class TestSimulate:
         ({"workload": {"generator": {"burst_episodes": [{"start_ms": float("nan"), "duration_ms": 5000}]}}},
          "workload.generator.burst_episodes[0].start_ms"),
         ({"horizon_ms": float("inf")}, "horizon_ms"),
+        ({"horizon_ms": 10 ** 400}, "horizon_ms"),  # an integer too large for a float
     ])
     def test_meaningless_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, overrides)
@@ -785,6 +786,8 @@ class TestInputFiles:
         ("ref_image_px", [896], "ref_image_px"),
         ("ref_cpu_cores", 8.5, "ref_cpu_cores"),
         ("model", "llama3.2-11b", "llama3.2-11b"),
+        ("decode_batch_slope", -0.5, "decode_batch_slope"),
+        ("decode_batch_slope", float("nan"), "decode_batch_slope"),
     ])
     def test_profile_file(self, tmp_path, capsys, path, value, key):
         (tmp_path / "profile.json").write_text(json.dumps(_changed(_profile_dict(), path, value)))
@@ -798,6 +801,12 @@ class TestInputFiles:
         cfg = write_config(tmp_path, {"profile": "profile.json", "seeds": [1]})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    def test_flat_decode_slope_runs(self, tmp_path):
+        # Slope 0: every batch size decodes at one step time.
+        (tmp_path / "profile.json").write_text(json.dumps({**_profile_dict(), "decode_batch_slope": 0.0}))
+        cfg = write_config(tmp_path, {"profile": "profile.json", "seeds": [1]})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("path, value, key", [
         ("decode_batch_slop", 0.05, "decode_batch_slop"),
         ("tp_scaling", _DELETE, "tp_scaling"),
@@ -805,6 +814,7 @@ class TestInputFiles:
         ("ttft_breakdown.encode", "x", "ttft_breakdown.encode"),
         ("ref_cpu_cores", [8], "ref_cpu_cores"),
         ("ref_image_px", [896.5, 896], "ref_image_px"),
+        ("decode_batch_slope", -0.5, "decode_batch_slope"),
     ])
     def test_targets_file(self, tmp_path, capsys, path, value, key):
         targets = tmp_path / "targets.json"

@@ -953,36 +953,107 @@ class TestDecodeLane:
             # time, so it may differ from the model's in the last bits.
             assert rec.tbt_p99_ms == pytest.approx(tbt_p99_ms, rel=1e-12, abs=0)
 
-    # Bursts that fill the batch and its queue, and gaps that let it drain.
-    @given(st.lists(st.tuples(st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 3000.0)),
-                              st.integers(1, 400)), min_size=1, max_size=60),
-           st.integers(6, 10))
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_walk_matches_full_walk(self, requests, cap):
-        # Each completion's TBT pairs equal, exactly, those of a walk over
-        # every served step time against the member's join snapshot.
-        lane = DecodeLane(cap, 4, [None] * (cap + 1), LLAMA_PROFILE.tbt_latency)
-        pending, t, due, completed = deque(), 0.0, None, 0
+    @staticmethod
+    def _drive(lane, requests):
+        """Run ``requests``, (gap_ms, steps) each, through ``lane`` alone as
+        the engine does: {rid: (its TBT P99, its TBT samples by a full walk)}.
+        The samples are its admit wait and, per step time served, the steps
+        gained at it against the histogram at its join."""
+        pending, t, due = deque(), 0.0, None
         for rid, (gap, steps) in enumerate(requests):
             t += gap
             pending.append((t, rid, steps))
+        queued, joined, out = {}, {}, {}
         while pending or due is not None:
             if pending and (due is None or pending[0][0] <= due):
                 now, rid, steps = pending.popleft()
                 if not lane.admit(rid, steps, now):
+                    queued[rid] = now
                     continue
             else:
                 now = due
-                joined = {rid: (snap, list(tbt)) for rid, (snap, _, tbt) in lane.members.items()}
-                for rid, tbt in lane.pop_finished(now):
-                    snap, full = joined[rid]
-                    full += [(step, w) for step, s in lane.served.items()
-                             if (w := s - snap.get(step, 0.0))]
-                    assert sorted(tbt) == sorted(full)
-                    completed += 1
+                for rid, p99 in lane.pop_finished(now):
+                    snap, samples = joined.pop(rid)
+                    samples += [(step, w) for step, s in lane.served.items()
+                                if (w := s - snap.get(step, 0.0))]
+                    out[rid] = (p99, samples)
+            for rid in lane.members.keys() - joined.keys():
+                wait = now - queued.pop(rid, now)
+                joined[rid] = (lane.served.copy(), [(wait, 1.0)] if wait > 1e-6 else [])
             dt = lane.restart()
             due = None if dt is None else now + dt
-        assert completed == len(requests) and not lane.members
+        assert len(out) == len(requests) and not lane.members
+        return out
+
+    # Bursts that fill the batch and its queue, and gaps that let it drain.
+    @given(st.lists(st.tuples(st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 3000.0)),
+                              st.integers(1, 400)), min_size=1, max_size=60),
+           st.integers(6, 10), st.sampled_from([0.02, 0.0]), st.booleans())
+    # Flat step times: every batch size has one step time.
+    @example([(0.0, 40)] * 8 + [(5.0, 100), (2000.0, 3)], 6, 0.0, True)
+    # Member 0's batch falls from 4 to 1, rises to 6 and falls again, then to 3.
+    @example([(0.0, 300)] + [(0.0, 30)] * 3 + [(2000.0, 30)] + [(0.0, 30)] * 4 + [(3000.0, 30), (0.0, 30)],
+             6, 0.02, False)
+    # Member 0 spikes to 3 members for a step, under 1 % of its steps: its
+    # read passes batch size 2, which only another lane of the TP has run.
+    @example([(0.0, 400), (3000.0, 1), (0.0, 1)], 6, 0.02, True)
+    # A tie: member 1 waits 5 steps and runs 99, so its wait weighs exactly 1 % of 100.
+    @example([(0.0, 5), (0.0, 99)], 1, 0.02, False)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_walk_matches_full_walk(self, requests, cap, slope, shared):
+        # Each completion's TBT P99 equals, exactly, weighted_quantile over a
+        # walk of every served step time against the histogram at its join,
+        # plus its admit wait. With ``shared`` another lane of the TP has run
+        # every batch size, so the step table holds steps this lane never ran.
+        profile = dataclasses.replace(LLAMA_PROFILE, decode_batch_slope=slope)
+        table = [None] + [profile.tbt_latency(n, 4) if shared else None for n in range(1, cap + 1)]
+        lane = DecodeLane(cap, 4, table, profile.tbt_latency)
+        for rid, (p99, samples) in self._drive(lane, requests).items():
+            assert p99 == weighted_quantile(samples, 0.99), rid
+    def test_near_tie_takes_the_full_walk(self, monkeypatch):
+        # Member 1 waits 5 steps and runs 99: its wait weighs exactly the 1 %
+        # line of T = 100, so the top-down read hands over to the full walk.
+        calls = []
+        full_walk = DecodeLane._full_walk
+        monkeypatch.setattr(DecodeLane, "_full_walk",
+                            lambda lane, *args: calls.append(args) or full_walk(lane, *args))
+        lane = DecodeLane(1, 4, [None, None], LLAMA_PROFILE.tbt_latency)
+        out = self._drive(lane, [(0.0, 5), (0.0, 99)])
+        wait = out[1][1][0]
+        assert wait == (5 * LLAMA_PROFILE.tbt_latency(1, 4), 1.0)
+        assert [args[2] for args in calls] == [wait[0]]  # member 1's read, only
+        assert all(p99 == weighted_quantile(samples, 0.99) for p99, samples in out.values())
+
+    def test_read_starts_at_the_largest_batch_since_the_join(self):
+        # Six members run together, then member 6 runs alone: its read looks
+        # up the step time of batch size 1 and no other.
+        class Reads(list):
+            def __getitem__(self, n):
+                self.read.append(n)
+                return super().__getitem__(n)
+
+        table = Reads([None] * 7)
+        table.read = []
+        lane = DecodeLane(6, 4, table, LLAMA_PROFILE.tbt_latency)
+        for rid in range(6):
+            lane.admit(rid, 10, 0.0)
+        due = lane.restart()
+        assert [rid for rid, _ in lane.pop_finished(due)] == list(range(6))
+        assert lane.restart() is None
+        lane.admit(6, 10, 1000.0)
+        due = 1000.0 + lane.restart()
+        step = LLAMA_PROFILE.tbt_latency(1, 4)
+        table.read.clear()
+        assert lane.pop_finished(due) == [(6, step)]
+        assert table.read == [1]
+
+    @pytest.mark.parametrize("slope", [-0.5, float("nan")])
+    def test_falling_step_times_are_refused(self, monkeypatch, slope):
+        # The read needs step times that do not fall as the batch grows.
+        monkeypatch.setitem(PROFILES, "llama3.2-11b",
+                            dataclasses.replace(LLAMA_PROFILE, decode_batch_slope=slope))
+        with pytest.raises(SimulationError, match="decode_batch_slope"):
+            make_sim([make_request(0, 0.0)])
 
     def test_step_table_is_the_profile_per_tp(self):
         # One table per TP, shared by the lanes of that TP and filled once per

@@ -58,6 +58,14 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate(targets, INTERNVL)
 
+    @pytest.mark.parametrize("slope", [-0.5, float("nan"), float("inf")])
+    def test_slope_must_be_finite_and_non_negative(self, slope):
+        # The engine reads TBT P99s from the largest step time down.
+        targets = load_calibration_targets("internvl-26b")
+        targets.decode_batch_slope = slope
+        with pytest.raises(CalibrationError, match="decode_batch_slope"):
+            calibrate(targets, INTERNVL)
+
     def test_cro_attn_needs_gain(self):
         targets = load_calibration_targets("llama3.2-11b")
         targets.mixed_modality_gain = None

@@ -301,9 +301,18 @@ class TestGenerator:
         ({"base_rate": float("inf")}, "base_rate"),
         ({"images_per_request": {1: -0.5, 2: 1.5}}, "images_per_request.1"),
         ({"images_per_request": {1: 1.5, 2: -0.5}}, "images_per_request.2"),
+        ({"burst_episodes": (BurstEpisode(0, 1_000), BurstEpisode(float("nan"), 5_000))},
+         "burst_episodes[1].start_ms"),
+        ({"image_dim_sigma": float("nan")}, "image_dim_sigma"),
+        ({"image_dim_sigma": float("inf")}, "image_dim_sigma"),
+        ({"image_dim_sigma": -0.1}, "image_dim_sigma"),
+        ({"output_len_sigma": float("nan")}, "output_len_sigma"),
+        ({"output_len_sigma": float("inf")}, "output_len_sigma"),
+        ({"output_len_sigma": -1.0}, "output_len_sigma"),
     ])
     def test_meaningless_value_fails_validate(self, changes, field):
-        # validate() alone: generate() would not end on a negative rate multiplier.
+        # validate() alone: generate() would not end on a negative rate
+        # multiplier or a NaN start.
         with pytest.raises(SpecError) as raised:
             GeneratorConfig(model=INTERNVL, **changes).validate()
         assert raised.value.field == field
