@@ -1010,6 +1010,7 @@ class TestDecodeLane:
         lane = DecodeLane(cap, 4, table, profile.tbt_latency)
         for rid, (p99, samples) in self._drive(lane, requests).items():
             assert p99 == weighted_quantile(samples, 0.99), rid
+
     def test_near_tie_takes_the_full_walk(self, monkeypatch):
         # Member 1 waits 5 steps and runs 99: its wait weighs exactly the 1 %
         # line of T = 100, so the top-down read hands over to the full walk.
